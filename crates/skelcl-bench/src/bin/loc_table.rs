@@ -1,12 +1,15 @@
 //! Reproduces the paper's programming-effort comparisons in prose:
 //! §3.3 (dot product: ~68 lines of OpenCL vs a handful of SkelCL lines)
 //! and §4.2 (Sobel kernels: AMD 37 lines, NVIDIA 208 lines, SkelCL "the
-//! few lines of Listing 1.5").
+//! few lines of Listing 1.5"). A last table applies the same count to
+//! this reproduction: library lines per workspace crate.
 //!
 //! Usage: `cargo run -p skelcl-bench --bin loc_table`
 
 use skelcl_bench::baselines::sources;
-use skelcl_bench::loc::{count_loc, paper, split_kernel_host};
+use std::path::Path;
+
+use skelcl_bench::loc::{crate_library_loc, paper, split_kernel_host};
 
 fn kernel_loc(source_file: &str) -> usize {
     split_kernel_host(source_file).kernel
@@ -98,7 +101,16 @@ fn main() {
         "shape check: SkelCL Sobel kernel is the smallest of the three: {}",
         sobel_skel_smallest
     );
-    let _ = count_loc("");
+
+    println!("\n== This reproduction, library lines per crate (src of every crate) ==\n");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let crates = crate_library_loc(&root).expect("read the crate sources");
+    for (name, loc) in &crates {
+        println!("{name:<16} {loc:>7}");
+    }
+    let total: usize = crates.iter().map(|(_, loc)| loc).sum();
+    println!("{:<16} {total:>7}", "total");
+
     let ok = dot_ratio > 1.5 && sobel_skel_smallest && nvidia > amd;
     println!(
         "\nresult: {}",

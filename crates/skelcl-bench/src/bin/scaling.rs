@@ -434,35 +434,6 @@ fn main() {
         }
     );
 
-    // Host wall-clock delta between the two vgpu execution engines on the
-    // same 4-GPU mandelbrot frames — the skeleton-level companion to the
-    // EXT-INTERP A/B (`interp` binary). Real build-machine time, not
-    // simulated nanoseconds, so all three numbers live under a `host` key:
-    // the bench gate checks they stay present but never compares values
-    // (the >= 2x conclusion is gated in BENCH_interp.json, on controlled
-    // per-engine platforms).
-    println!("\n== Execution engines, host wall-clock (4-GPU mandelbrot) ==\n");
-    let engine_wall_ms = |engine: &str| {
-        std::env::set_var("SKELCL_VGPU_EXEC", engine);
-        let c = ctx(4);
-        mandelbrot_skelcl::run_on(&c, mw, mh, it).expect("engine warm-up");
-        let t = std::time::Instant::now();
-        for _ in 0..2 {
-            mandelbrot_skelcl::run_on(&c, mw, mh, it).expect("engine run");
-        }
-        t.elapsed().as_secs_f64() * 1e3 / 2.0
-    };
-    let lockstep_wall_ms = engine_wall_ms("lockstep");
-    let fast_wall_ms = engine_wall_ms("fast");
-    std::env::remove_var("SKELCL_VGPU_EXEC");
-    println!("{:<10} {:>18}", "engine", "wall-clock (ms)");
-    println!("{:<10} {lockstep_wall_ms:>18.1}", "lockstep");
-    println!("{:<10} {fast_wall_ms:>18.1}", "fast");
-    println!(
-        "\nengines: fast completes the frame in {:.2}x less wall-clock than lockstep",
-        lockstep_wall_ms / fast_wall_ms
-    );
-
     let ok = shape_ok && adaptive_ok && overlapped && fusion_ok && plan_ok && stream_ok;
     println!(
         "\nresult: {}",
@@ -567,17 +538,6 @@ fn main() {
                     ("transfer_hidden", Json::Bool(stream_hidden_fraction > 0.0)),
                     ("bit_identical", Json::Bool(stream_identical)),
                 ]),
-            ),
-            (
-                "engine",
-                Json::obj([(
-                    "host",
-                    Json::obj([
-                        ("lockstep_wall_ms", Json::Num(lockstep_wall_ms)),
-                        ("fast_wall_ms", Json::Num(fast_wall_ms)),
-                        ("fast_speedup", Json::Num(lockstep_wall_ms / fast_wall_ms)),
-                    ]),
-                )]),
             ),
             (
                 "overlap",

@@ -11,11 +11,13 @@
 //! * **strings** must match exactly (schema, params, names);
 //! * **numbers** (kernel milliseconds, speedups, imbalance ratios,
 //!   histogram stats) must stay within a relative tolerance;
-//! * **host-measured numbers** (any path containing `.host.`) are checked
-//!   for presence and type only — real wall-clock depends on the machine
-//!   and its load, so comparing values across machines would make the gate
-//!   flake; the shape *conclusions* drawn from them (e.g.
-//!   `fast_at_least_2x`) live outside `.host.` as gated booleans;
+//! * **host-measured numbers** (any path containing `.host.`) and **host
+//!   topology gauges** (`pool.threads.*`, `pool.steal_balance.*`) are
+//!   checked for presence and type only — real wall-clock depends on the
+//!   machine and its load, and pool size and steal spread follow the core
+//!   count, so comparing their values across machines would make the gate
+//!   flake; conclusions drawn from host numbers live outside `.host.` as
+//!   gated booleans;
 //! * a key present in the baseline but **missing** from the fresh report
 //!   is a regression; extra keys in the fresh report are fine (schema
 //!   growth is not a regression).
@@ -118,10 +120,13 @@ fn exact_path(path: &str) -> bool {
 
 /// Machine-dependent fields: real host wall-clock (as opposed to the
 /// simulator's deterministic nanoseconds) varies with the machine and its
-/// load. Reports nest such numbers under a `host` object; the gate checks
-/// they are still emitted but never compares their values.
+/// load, and the worker-pool gauges follow its core count. Reports nest
+/// wall-clock numbers under a `host` object; the gate checks these fields
+/// are still emitted but never compares their values.
 fn loose_path(path: &str) -> bool {
     path.contains(".host.")
+        || path.contains(".pool.threads.")
+        || path.contains(".pool.steal_balance.")
 }
 
 fn type_name(v: &Json) -> &'static str {
@@ -233,7 +238,7 @@ mod tests {
                 "name": "interp",
                 "results": {
                     "fast_at_least_2x": true,
-                    "host": {"fast_wall_ms": 120.0, "lockstep_wall_ms": 310.0}
+                    "host": {"fast_wall_ms": 120.0, "reference_wall_ms": 310.0}
                 }
             }"#,
         )
@@ -250,7 +255,7 @@ mod tests {
                 "name": "interp",
                 "results": {
                     "fast_at_least_2x": true,
-                    "host": {"fast_wall_ms": 1200.0, "lockstep_wall_ms": 310.0}
+                    "host": {"fast_wall_ms": 1200.0, "reference_wall_ms": 310.0}
                 }
             }"#,
         )
@@ -267,7 +272,7 @@ mod tests {
                 "name": "interp",
                 "results": {
                     "fast_at_least_2x": true,
-                    "host": {"lockstep_wall_ms": 310.0}
+                    "host": {"reference_wall_ms": 310.0}
                 }
             }"#,
         )
@@ -285,6 +290,34 @@ mod tests {
         let violations = diff_reports("interp", &base, &fresh, &GateConfig::default());
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("fast_at_least_2x"));
+    }
+
+    #[test]
+    fn pool_topology_gauges_are_presence_checked_only() {
+        let base = Json::parse(
+            r#"{"metrics": {"gauges": {"pool.groups_executed.gpu0": 192,
+                "pool.steal_balance.gpu0": 1, "pool.threads.gpu0": 1}}}"#,
+        )
+        .unwrap();
+        // A 2-core host: twice the threads, an uneven steal spread.
+        let fresh = Json::parse(
+            r#"{"metrics": {"gauges": {"pool.groups_executed.gpu0": 192,
+                "pool.steal_balance.gpu0": 0.5, "pool.threads.gpu0": 2}}}"#,
+        )
+        .unwrap();
+        assert!(diff_reports("fig4", &base, &fresh, &GateConfig::default()).is_empty());
+
+        // The work itself stays gated, and the topology keys stay required.
+        let fresh = Json::parse(
+            r#"{"metrics": {"gauges": {"pool.groups_executed.gpu0": 384,
+                "pool.steal_balance.gpu0": "1"}}}"#,
+        )
+        .unwrap();
+        let violations = diff_reports("fig4", &base, &fresh, &GateConfig::default());
+        assert_eq!(violations.len(), 3, "{violations:?}");
+        assert!(violations[0].contains("pool.groups_executed.gpu0"));
+        assert!(violations[1].contains("pool.steal_balance.gpu0: type changed"));
+        assert!(violations[2].contains("pool.threads.gpu0: missing"));
     }
 
     #[test]

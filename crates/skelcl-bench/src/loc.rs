@@ -2,6 +2,10 @@
 //! (paper Fig. 4 and §3.3/§4.2), applied to this reproduction's own
 //! implementation sources exactly as the paper applies it to SDK samples.
 
+use std::fs;
+use std::io;
+use std::path::Path;
+
 /// Counts non-blank, non-comment lines (`//` lines and `/* */` blocks are
 /// excluded; code sharing a line with a trailing comment counts).
 pub fn count_loc(source: &str) -> usize {
@@ -47,6 +51,41 @@ pub fn count_loc(source: &str) -> usize {
         }
     }
     count
+}
+
+/// Library lines of every crate under `<root>/crates`: [`count_loc`]
+/// summed over the `.rs` files below each crate's `src` directory, sorted
+/// by crate name.
+///
+/// # Errors
+///
+/// Returns the first I/O error met while walking the tree.
+pub fn crate_library_loc(root: &Path) -> io::Result<Vec<(String, usize)>> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(root.join("crates"))? {
+        let dir = entry?.path();
+        let src = dir.join("src");
+        if src.is_dir() {
+            let name = dir.file_name().unwrap_or_default().to_string_lossy();
+            out.push((name.into_owned(), rust_loc(&src)?));
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// [`count_loc`] summed over every `.rs` file below `dir`.
+fn rust_loc(dir: &Path) -> io::Result<usize> {
+    let mut total = 0;
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            total += rust_loc(&path)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            total += count_loc(&fs::read_to_string(&path)?);
+        }
+    }
+    Ok(total)
 }
 
 /// One implementation's size, split like the paper's Fig. 4 bars.
@@ -208,6 +247,15 @@ host line 2
         let s = split_kernel_host(src);
         assert_eq!(s, ProgramSize { kernel: 2, host: 2 });
         assert_eq!(s.total(), 4);
+    }
+
+    #[test]
+    fn library_loc_covers_this_crate() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let crates = crate_library_loc(&root).unwrap();
+        let bench = crates.iter().find(|(name, _)| name == "skelcl-bench");
+        assert!(bench.is_some_and(|(_, loc)| *loc > 0), "{crates:?}");
+        assert!(crates.windows(2).all(|w| w[0].0 < w[1].0), "sorted by name");
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Compile-time constant evaluation and folding over the HIR.
+//! Compile-time constant evaluation over the HIR.
 //!
-//! Used by sema for `__local` array sizes and by codegen to shrink the
-//! emitted bytecode (e.g. `16 * 16` tile sizes, `-1 * x` coefficients in the
-//! Sobel stencil).
+//! Used by sema for `__local` array sizes (e.g. `16 * 16` tiles); the MIR
+//! lowers HIR constants through [`const_to_value`]. Folding inside kernel
+//! bodies is the MIR's constant propagation pass.
 
 use crate::builtins;
-use crate::hir::{ConstValue, Expr, Stmt, UnOp};
-use crate::types::ScalarType;
+use crate::hir::{ConstValue, Expr};
 use crate::value::{self, Value};
 
 /// Converts a HIR constant to a runtime value.
@@ -102,176 +101,15 @@ fn eval_value(e: &Expr) -> Option<Value> {
     }
 }
 
-/// Recursively folds constant sub-expressions of `e` in place, replacing any
-/// fully-constant subtree by a [`Expr::Const`] node. Conservative: only pure
-/// arithmetic is folded; anything with side effects is left untouched.
-pub fn fold_expr(e: &mut Expr) {
-    // First fold children.
-    match e {
-        Expr::Unary { expr, .. } | Expr::Convert { expr, .. } => fold_expr(expr),
-        Expr::Binary { lhs, rhs, .. }
-        | Expr::Compare { lhs, rhs, .. }
-        | Expr::Logical { lhs, rhs, .. }
-        | Expr::PtrDiff { lhs, rhs, .. } => {
-            fold_expr(lhs);
-            fold_expr(rhs);
-        }
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-            ..
-        } => {
-            fold_expr(cond);
-            fold_expr(then_expr);
-            fold_expr(else_expr);
-        }
-        Expr::Assign { value, place, .. } => {
-            fold_expr(value);
-            if let crate::hir::Place::Deref { ptr, .. } = place {
-                fold_expr(ptr);
-            }
-        }
-        Expr::Call { args, .. } | Expr::BuiltinCall { args, .. } => {
-            for a in args {
-                fold_expr(a);
-            }
-        }
-        Expr::PtrOffset { ptr, offset, .. } => {
-            fold_expr(ptr);
-            fold_expr(offset);
-        }
-        Expr::Load { ptr, .. } => fold_expr(ptr),
-        Expr::Const { .. } | Expr::Local { .. } | Expr::IncDec { .. } => {}
-    }
-    // Then try to collapse this node.
-    if matches!(e, Expr::Const { .. }) {
-        return;
-    }
-    if let Some(v) = try_eval(e) {
-        *e = Expr::Const {
-            value: v,
-            span: e.span(),
-        };
-        return;
-    }
-    // Structural simplifications where only the *condition* is constant
-    // (the surviving arm may be effectful, e.g. a load): these arise from
-    // inlined bounds checks with literal offsets.
-    match e {
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-            span,
-            ..
-        } => {
-            if let Some(c) = try_eval(cond) {
-                let span = *span;
-                let arm = if matches!(c, ConstValue::Bool(true))
-                    || matches!(c, ConstValue::Int(v, _) if v != 0)
-                {
-                    std::mem::replace(
-                        then_expr.as_mut(),
-                        Expr::Const {
-                            value: ConstValue::Bool(false),
-                            span,
-                        },
-                    )
-                } else {
-                    std::mem::replace(
-                        else_expr.as_mut(),
-                        Expr::Const {
-                            value: ConstValue::Bool(false),
-                            span,
-                        },
-                    )
-                };
-                *e = arm;
-            }
-        }
-        Expr::Logical {
-            is_and,
-            lhs,
-            rhs,
-            span,
-        } => {
-            if let Some(c) = try_eval(lhs) {
-                let truthy = matches!(c, ConstValue::Bool(true))
-                    || matches!(c, ConstValue::Int(v, _) if v != 0);
-                let span = *span;
-                if (*is_and && truthy) || (!*is_and && !truthy) {
-                    // `true && x` / `false || x` -> x (already bool-typed).
-                    let taken = std::mem::replace(
-                        rhs.as_mut(),
-                        Expr::Const {
-                            value: ConstValue::Bool(false),
-                            span,
-                        },
-                    );
-                    *e = taken;
-                } else {
-                    // `false && x` / `true || x` -> constant. Sound even
-                    // for effectful `x`: short-circuit semantics mean `x`
-                    // is never evaluated.
-                    *e = Expr::Const {
-                        value: ConstValue::Bool(!*is_and),
-                        span,
-                    };
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Folds all expressions in a statement list (in place).
-pub fn fold_stmts(stmts: &mut [Stmt]) {
-    for s in stmts {
-        match s {
-            Stmt::Expr(e) => fold_expr(e),
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                fold_expr(cond);
-                fold_stmts(then_branch);
-                fold_stmts(else_branch);
-            }
-            Stmt::Loop {
-                cond, body, step, ..
-            } => {
-                fold_expr(cond);
-                fold_stmts(body);
-                if let Some(step) = step {
-                    fold_expr(step);
-                }
-            }
-            Stmt::Return(Some(e)) => fold_expr(e),
-            Stmt::Return(None) | Stmt::Break | Stmt::Continue => {}
-        }
-    }
-}
-
-/// Negation helper used by tests and codegen: `-x` wrapped as HIR.
-pub fn negate(e: Expr, ty: ScalarType) -> Expr {
-    let span = e.span();
-    Expr::Unary {
-        op: UnOp::Neg,
-        expr: Box::new(e),
-        ty,
-        span,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::diag::Diagnostics;
+    use crate::hir::Stmt;
     use crate::parser::parse;
     use crate::sema::analyze;
     use crate::source::SourceFile;
+    use crate::types::ScalarType;
 
     fn lower(src: &str) -> crate::hir::Unit {
         let f = SourceFile::new("t.cl", src);
@@ -355,17 +193,6 @@ mod tests {
     fn division_by_zero_does_not_fold() {
         // Folding must not hide the runtime trap.
         assert_eq!(eval_return("int f(){ return 1 / 0; }"), None);
-    }
-
-    #[test]
-    fn fold_stmts_collapses_subtrees() {
-        let mut u = lower("float f(float x){ return x + 2.0f * 8.0f; }");
-        let f = &mut u.functions[0];
-        fold_stmts(&mut f.body);
-        let Stmt::Return(Some(Expr::Binary { rhs, .. })) = &f.body[0] else {
-            panic!()
-        };
-        assert!(matches!(**rhs, Expr::Const { value: ConstValue::F32(v), .. } if v == 16.0));
     }
 
     #[test]

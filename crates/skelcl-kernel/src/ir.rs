@@ -4,8 +4,9 @@
 //!
 //! * one operand stack per call frame; `Call` moves arguments from the
 //!   caller's stack into the callee's parameter slots;
-//! * `StoreMem` pops the **pointer** first, then the value (codegen emits
-//!   `value, ptr, StoreMem`), which avoids any stack-shuffling opcodes;
+//! * `StoreMem` pops the **pointer** first, then the value (the lowering
+//!   emits `value, ptr, StoreMem`), which avoids any stack-shuffling
+//!   opcodes;
 //! * `Barrier` carries a unique site id so the executor can detect divergent
 //!   barriers (work-items of one group suspended at different barriers);
 //! * pointer arithmetic is element-scaled: `PtrOffset(size)` pops a signed
@@ -27,8 +28,6 @@ pub enum Op {
     LoadLocal(u16),
     /// Pop into a local slot.
     StoreLocal(u16),
-    /// Duplicate the top of stack.
-    Dup,
     /// Discard the top of stack.
     Pop,
     /// Apply a unary value operation to the top of stack.
@@ -91,7 +90,6 @@ impl fmt::Display for Op {
             Op::Const(v) => write!(f, "const {v}"),
             Op::LoadLocal(s) => write!(f, "load_local {s}"),
             Op::StoreLocal(s) => write!(f, "store_local {s}"),
-            Op::Dup => f.write_str("dup"),
             Op::Pop => f.write_str("pop"),
             Op::Un(op) => write!(f, "un {op:?}"),
             Op::Bin(op) => write!(f, "bin {op:?}"),

@@ -3,9 +3,9 @@
 //! SkelCL customizes its algorithmic skeletons with user functions written
 //! as plain OpenCL-C source strings, welded into complete kernels at runtime
 //! and compiled by the OpenCL driver. This crate is that driver's compiler
-//! for the reproduction: a lexer, parser, type checker, constant folder,
-//! bytecode generator and work-item virtual machine for **SkelCL C**, a
-//! subset of OpenCL C.
+//! for the reproduction: a lexer, parser, type checker, mid-level IR with
+//! optimization passes, bytecode lowering and work-item virtual machine
+//! for **SkelCL C**, a subset of OpenCL C.
 //!
 //! ## Language subset
 //!
@@ -62,7 +62,6 @@
 pub mod ast;
 pub mod builtins;
 pub mod cfg;
-pub mod codegen;
 mod decode;
 pub mod diag;
 pub mod fold;
@@ -127,11 +126,10 @@ pub fn compile(name: &str, source: &str) -> Result<Program, CompileError> {
 /// Compiles with an explicit pipeline configuration instead of reading
 /// `SKELCL_KERNEL_OPT`.
 ///
-/// [`OptConfig::legacy`] reproduces the pre-MIR pipeline exactly (HIR
-/// constant folding plus the stack code generator); every other
-/// configuration lowers through the MIR, runs the enabled passes, and
-/// emits bytecode through the register-allocating scheduler in
-/// [`lower`]. All configurations produce bit-identical buffer results.
+/// Every configuration lowers through the MIR, runs the enabled passes,
+/// and emits bytecode through the register-allocating scheduler in
+/// [`lower`]; [`OptConfig::none`] (no passes) is the compiler's reference
+/// pipeline. All configurations produce bit-identical buffer results.
 ///
 /// # Errors
 ///
@@ -153,12 +151,6 @@ pub fn compile_with_config(
     match unit {
         Some(mut unit) => {
             inline::inline_unit(&mut unit);
-            if !cfg.enabled {
-                for f in &mut unit.functions {
-                    fold::fold_stmts(&mut f.body);
-                }
-                return Ok(codegen::generate(&unit, name));
-            }
             let dump = std::env::var("SKELCL_KERNEL_DUMP").unwrap_or_default();
             let mut mir = mir::lower_unit(&unit);
             if dump == "mir" {
@@ -226,7 +218,8 @@ mod tests {
 
     #[test]
     fn compile_folds_constants() {
-        let p = compile("fold.cl", "int f(){ return 16 * 16; }").unwrap();
+        let p = compile_with_config("fold.cl", "int f(){ return 16 * 16; }", &OptConfig::all())
+            .unwrap();
         let code = &p.functions()[0].code;
         assert_eq!(code.len(), 2, "folded to const+return: {:?}", code);
     }

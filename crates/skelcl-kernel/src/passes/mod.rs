@@ -25,19 +25,17 @@ use crate::cfg;
 use crate::mir::{BlockId, Inst, MirFunction, MirUnit, Terminator, VReg};
 use crate::value::Value;
 
-/// Which compile pipeline and optimization passes to run.
+/// Which MIR optimization passes to run.
 ///
 /// Parsed from `SKELCL_KERNEL_OPT`:
 ///
-/// * `0` — legacy pipeline (HIR folding + stack codegen), no MIR;
-/// * `1`, unset or empty — MIR pipeline with every pass (the default);
+/// * `0` — no passes ([`OptConfig::none`], the reference pipeline);
+/// * `1`, unset or empty — every pass (the default);
 /// * a comma list of pass names (`const-prop`, `cse`, `dce`, `licm`,
-///   `unroll`) — MIR pipeline with just those passes.
+///   `unroll`) — just those passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
-    /// `false` selects the legacy HIR → stack-codegen pipeline.
-    pub enabled: bool,
-    /// Constant propagation and folding (subsumes the legacy HIR folder).
+    /// Constant propagation and folding.
     pub const_prop: bool,
     /// Common-subexpression elimination + local copy propagation.
     pub cse: bool,
@@ -59,7 +57,6 @@ impl OptConfig {
     /// The full pipeline: every pass enabled.
     pub fn all() -> Self {
         OptConfig {
-            enabled: true,
             const_prop: true,
             cse: true,
             dce: true,
@@ -68,24 +65,10 @@ impl OptConfig {
         }
     }
 
-    /// The legacy pipeline (`SKELCL_KERNEL_OPT=0`): HIR constant folding
-    /// plus the stack code generator, exactly as before the MIR existed.
-    pub fn legacy() -> Self {
-        OptConfig {
-            enabled: false,
-            const_prop: false,
-            cse: false,
-            dce: false,
-            licm: false,
-            unroll: false,
-        }
-    }
-
-    /// The MIR pipeline with no passes (lowering + register allocation
-    /// only).
+    /// No passes (`SKELCL_KERNEL_OPT=0`): MIR lowering and register
+    /// allocation only — the compiler's reference pipeline.
     pub fn none() -> Self {
         OptConfig {
-            enabled: true,
             const_prop: false,
             cse: false,
             dce: false,
@@ -100,7 +83,7 @@ impl OptConfig {
         let spec = spec.trim();
         match spec {
             "" | "1" => OptConfig::all(),
-            "0" => OptConfig::legacy(),
+            "0" => OptConfig::none(),
             list => {
                 let mut cfg = OptConfig::none();
                 for name in list.split(',') {
@@ -150,9 +133,6 @@ impl OptConfig {
 
 /// Runs the configured passes over every function of `unit`.
 pub fn run(unit: &mut MirUnit, cfg: &OptConfig) {
-    if !cfg.enabled {
-        return;
-    }
     let info = UnitInfo::analyze(unit);
     for f in &mut unit.functions {
         run_function(f, cfg, &info);
@@ -341,9 +321,10 @@ mod tests {
     fn config_spec_parsing() {
         assert_eq!(OptConfig::from_str_spec("1"), OptConfig::all());
         assert_eq!(OptConfig::from_str_spec(""), OptConfig::all());
-        assert_eq!(OptConfig::from_str_spec("0"), OptConfig::legacy());
+        assert_eq!(OptConfig::from_str_spec("0"), OptConfig::none());
+        assert!(OptConfig::none().pass_names().is_empty());
         let c = OptConfig::from_str_spec("const-prop,dce");
-        assert!(c.enabled && c.const_prop && c.dce);
+        assert!(c.const_prop && c.dce);
         assert!(!c.cse && !c.licm && !c.unroll);
         // Unknown names are ignored.
         let c = OptConfig::from_str_spec("licm,bogus");

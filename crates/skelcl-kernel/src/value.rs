@@ -325,7 +325,7 @@ macro_rules! float_binop {
 }
 
 /// Evaluates a binary value operation. Operands must have identical scalar
-/// types (guaranteed by sema/codegen).
+/// types (guaranteed by sema).
 ///
 /// # Errors
 ///

@@ -12,10 +12,10 @@
 use std::fmt;
 
 use crate::builtins::{self, Builtin};
-use crate::codegen::UNINIT_BUFFER;
 use crate::decode::{ChainTail, CmpUse, Decoded, Dst, Operand};
 use crate::hir::{BinOp, CmpOp};
 use crate::ir::Op;
+use crate::mir::UNINIT_BUFFER;
 use crate::program::Program;
 use crate::types::{AddressSpace, ScalarType};
 use crate::value::{self, Ptr, Value};
@@ -476,8 +476,8 @@ impl WorkItem {
     /// pre-decoded superinstructions ([`crate::decode`]) that charge
     /// identical [`CostCounters`]. It is observationally identical to
     /// [`WorkItem::run_reference`]
-    /// — same results, same [`CostCounters`] — which the executor's legacy
-    /// path and the differential tests use as the semantic baseline.
+    /// — same results, same [`CostCounters`] — which the differential
+    /// tests and benchmarks use as the semantic baseline.
     ///
     /// # Errors
     ///
@@ -695,10 +695,6 @@ impl WorkItem {
                         let v = pop(frame)?;
                         frame.locals[*s as usize] = v;
                     }
-                    Op::Dup => {
-                        let v = *frame.stack.last().ok_or_else(stack_underflow)?;
-                        frame.stack.push(v);
-                    }
                     Op::Pop => {
                         pop(frame)?;
                     }
@@ -842,10 +838,11 @@ impl WorkItem {
 
     /// The reference interpreter: the original straight-line dispatch loop,
     /// kept byte-for-byte in behaviour (per-op clone, per-call `local_init`
-    /// clone, no frame pooling). The executor's legacy lockstep path runs on
-    /// it, which makes the `lockstep`-vs-`fast` benchmark an honest A/B of
-    /// the whole optimisation stack and gives the equivalence tests a
-    /// semantic baseline that shares no dispatch code with [`WorkItem::run`].
+    /// clone, no frame pooling). It is the single interpreter oracle: the
+    /// engine-equivalence tests, the compiler's differential tests and the
+    /// `interp` benchmark's reference sweep run on it, so they check
+    /// [`WorkItem::run`] against code that shares none of its dispatch
+    /// loop.
     ///
     /// # Errors
     ///
@@ -885,10 +882,6 @@ impl WorkItem {
                 Op::StoreLocal(s) => {
                     let v = pop(frame)?;
                     frame.locals[s as usize] = v;
-                }
-                Op::Dup => {
-                    let v = *frame.stack.last().ok_or_else(stack_underflow)?;
-                    frame.stack.push(v);
                 }
                 Op::Pop => {
                     pop(frame)?;

@@ -1,11 +1,14 @@
 //! Differential testing of the MIR optimization matrix: every kernel is
-//! compiled under every `SKELCL_KERNEL_OPT` configuration — the legacy
-//! HIR pipeline, the MIR pipeline with no passes, each pass alone, and
-//! all passes together — executed over a multi-item launch, and the
-//! output buffers must be **bit-identical** to the legacy program run
-//! through the reference interpreter ([`WorkItem::run_reference`]).
+//! compiled under every `SKELCL_KERNEL_OPT` configuration — no passes,
+//! each pass alone, and all passes together — executed over a multi-item
+//! launch, and the output buffers must be **bit-identical** to the
+//! reference pipeline (no passes) run through the reference interpreter
+//! ([`WorkItem::run_reference`]).
 //!
-//! Any divergence is a miscompile in a pass or in the register lowering.
+//! Every configuration shares the MIR lowering and the register
+//! allocation, so that oracle alone cannot catch a bug in either. Each
+//! kernel's expected output is therefore also computed directly in Rust,
+//! independently of the compiler.
 
 use skelcl_kernel::program::Program;
 use skelcl_kernel::types::AddressSpace;
@@ -16,16 +19,7 @@ use skelcl_kernel::{compile_with_config, OptConfig};
 const ITEMS: u64 = 8;
 
 /// The full `SKELCL_KERNEL_OPT` test matrix, as spec strings.
-const MATRIX: &[&str] = &[
-    "0",
-    "none",
-    "const-prop",
-    "cse",
-    "dce",
-    "licm",
-    "unroll",
-    "1",
-];
+const MATRIX: &[&str] = &["0", "const-prop", "cse", "dce", "licm", "unroll", "1"];
 
 fn geometry(gid: u64) -> ItemGeometry {
     ItemGeometry {
@@ -73,11 +67,25 @@ fn launch(
 }
 
 /// Compiles `src` under every configuration and checks each run is
-/// bit-identical to the legacy + reference-interpreter oracle.
-fn check_matrix(name: &str, src: &str, kernel: &str, buffers: &[Vec<u8>], scalars: &[Value]) {
-    let legacy = compile_with_config(name, src, &OptConfig::legacy())
+/// bit-identical to the no-passes + reference-interpreter oracle, whose
+/// last buffer must in turn equal `expected_out`.
+fn check_matrix(
+    name: &str,
+    src: &str,
+    kernel: &str,
+    buffers: &[Vec<u8>],
+    scalars: &[Value],
+    expected_out: &[u8],
+) {
+    let reference = compile_with_config(name, src, &OptConfig::none())
         .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let oracle = launch(&legacy, kernel, buffers, scalars, true);
+    let oracle = launch(&reference, kernel, buffers, scalars, true);
+    assert_eq!(
+        oracle.last().map(Vec::as_slice),
+        Some(expected_out),
+        "{name}: the reference pipeline disagrees with the host computation:\n{}",
+        reference.disassemble()
+    );
     for spec in MATRIX {
         let cfg = OptConfig::from_str_spec(spec);
         let p = compile_with_config(name, src, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -102,7 +110,15 @@ fn i32s(vals: impl IntoIterator<Item = i32>) -> Vec<u8> {
 #[test]
 fn strided_reduce_loop() {
     let n = 64usize;
-    let input = f32s((0..n).map(|i| (i as f32) * 0.75 - 3.0));
+    let data: Vec<f32> = (0..n).map(|i| (i as f32) * 0.75 - 3.0).collect();
+    let expected = f32s((0..ITEMS as usize).map(|gid| {
+        let mut acc = 0.0f32;
+        for x in data.iter().skip(gid).step_by(ITEMS as usize) {
+            acc += x;
+        }
+        acc
+    }));
+    let input = f32s(data);
     let out = f32s((0..ITEMS as usize).map(|_| 0.0));
     check_matrix(
         "reduce.cl",
@@ -116,12 +132,22 @@ fn strided_reduce_loop() {
         "reduce",
         &[input, out],
         &[Value::I32(n as i32)],
+        &expected,
     );
 }
 
 #[test]
 fn clamped_blur_stencil() {
-    let input = f32s((0..ITEMS as usize).map(|i| (i * i) as f32));
+    let n = ITEMS as i32;
+    let data: Vec<f32> = (0..n).map(|i| (i * i) as f32).collect();
+    let expected = f32s((0..n).map(|gid| {
+        let mut acc = 0.0f32;
+        for k in -1..=1 {
+            acc += data[(gid + k).clamp(0, n - 1) as usize];
+        }
+        acc / 3.0
+    }));
+    let input = f32s(data);
     let out = f32s((0..ITEMS as usize).map(|_| 0.0));
     check_matrix(
         "blur.cl",
@@ -138,13 +164,16 @@ fn clamped_blur_stencil() {
         }",
         "blur",
         &[input, out],
-        &[Value::I32(ITEMS as i32)],
+        &[Value::I32(n)],
+        &expected,
     );
 }
 
 #[test]
 fn nan_ternary_and_builtins() {
     let out = i32s((0..ITEMS as usize).map(|_| -1));
+    // `n == n` is false for the NaN, so every item takes the floor branch.
+    let expected = i32s((0..ITEMS).map(|gid| ((gid as f32 - 3.5).abs() * 2.0).floor() as i32));
     check_matrix(
         "nan.cl",
         "float nan_helper() { return sqrt(-1.0f); }
@@ -157,12 +186,15 @@ fn nan_ternary_and_builtins() {
         "t",
         &[out],
         &[],
+        &expected,
     );
 }
 
 #[test]
 fn constant_trip_nested_loops_unroll() {
     let out = i32s((0..ITEMS as usize).map(|_| 0));
+    let cells: i32 = (0..3).flat_map(|r| (0..3).map(move |c| r * 3 + c)).sum();
+    let expected = i32s((0..ITEMS as i32).map(|gid| cells * gid));
     check_matrix(
         "unroll.cl",
         "int cell(int r, int c) { return r * 3 + c; }
@@ -177,12 +209,20 @@ fn constant_trip_nested_loops_unroll() {
         "t",
         &[out],
         &[],
+        &expected,
     );
 }
 
 #[test]
 fn runtime_division_and_mixed_signedness() {
     let out = i32s((0..ITEMS as usize).map(|_| 0));
+    let d = 7i32;
+    let expected = i32s((0..ITEMS as i32).map(|gid| {
+        let q = (gid * 100 - 37) / d;
+        let r = (gid + 11) % (d + 2);
+        let u = (gid - 4) as u32;
+        q + r + (u >> 29) as i32
+    }));
     check_matrix(
         "divmix.cl",
         "__kernel void t(__global int* out, int d) {
@@ -194,7 +234,8 @@ fn runtime_division_and_mixed_signedness() {
         }",
         "t",
         &[out],
-        &[Value::I32(7)],
+        &[Value::I32(d)],
+        &expected,
     );
 }
 
@@ -202,7 +243,15 @@ fn runtime_division_and_mixed_signedness() {
 fn loop_invariant_address_math() {
     let rows = ITEMS as usize;
     let cols = 6usize;
-    let input = f32s((0..rows * cols).map(|i| (i as f32).sin()));
+    let data: Vec<f32> = (0..rows * cols).map(|i| (i as f32).sin()).collect();
+    let expected = f32s(data.chunks(cols).map(|row| {
+        let mut acc = 0.0f32;
+        for x in row {
+            acc += x;
+        }
+        acc * 0.5 + 1.0
+    }));
+    let input = f32s(data);
     let out = f32s((0..rows).map(|_| 0.0));
     check_matrix(
         "licm.cl",
@@ -215,5 +264,6 @@ fn loop_invariant_address_math() {
         "rowsum",
         &[input, out],
         &[Value::I32(cols as i32)],
+        &expected,
     );
 }

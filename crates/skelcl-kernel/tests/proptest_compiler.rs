@@ -1,7 +1,7 @@
 //! Property-based differential testing of the whole compiler pipeline:
 //! random expression trees are rendered to SkelCL C, compiled (parser →
-//! sema → fold → codegen) and executed in the VM; the result must equal
-//! direct evaluation of the tree with the shared `value` arithmetic.
+//! sema → MIR → passes → lowering) and executed in the VM; the result must
+//! equal direct evaluation of the tree with the shared `value` arithmetic.
 //!
 //! This exercises parser precedence, implicit conversions, constant
 //! folding and the bytecode interpreter against each other — any
@@ -211,11 +211,12 @@ proptest! {
         prop_assert_eq!(actual, expected, "expr: {}", expr.render());
     }
 
-    /// The full MIR pipeline and the legacy pipeline agree bit-for-bit:
-    /// the optimized program (fast interpreter) must compute exactly what
-    /// the legacy program computes on the reference interpreter.
+    /// The full pass pipeline and the reference pipeline (no passes)
+    /// agree bit-for-bit: the optimized program (fast interpreter) must
+    /// compute exactly what the reference program computes on the
+    /// reference interpreter.
     #[test]
-    fn optimized_pipeline_matches_legacy_reference(
+    fn optimized_pipeline_matches_reference(
         expr in arb_expr(),
         x in any::<i64>(),
         y in -1000i64..1000,
@@ -223,7 +224,7 @@ proptest! {
     ) {
         use skelcl_kernel::OptConfig;
         let vars = [x, y, z];
-        let oracle = run_with(&expr, vars, &OptConfig::legacy(), true);
+        let oracle = run_with(&expr, vars, &OptConfig::none(), true);
         let optimized = run_with(&expr, vars, &OptConfig::all(), false);
         prop_assert_eq!(optimized, oracle, "expr: {}", expr.render());
     }

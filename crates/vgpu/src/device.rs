@@ -134,22 +134,12 @@ impl Default for DeviceSpec {
 }
 
 /// Host-side execution statistics of one device (or a whole platform when
-/// aggregated): how launches were dispatched and what they cost in OS
-/// threads. The `interp` benchmark reads these to prove the pooled engine
-/// spawns zero threads per launch.
+/// aggregated): launches, the persistent pool's threads, and how its
+/// steal cursor dealt work-groups to them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Total kernel launches executed.
+    /// Total kernel launches executed (every launch runs on the pool).
     pub launches: u64,
-    /// Launches dispatched to the persistent worker pool
-    /// ([`crate::ExecStrategy::Fast`]).
-    pub pooled_launches: u64,
-    /// Launches run by the legacy per-launch-spawn engine
-    /// ([`crate::ExecStrategy::Lockstep`]).
-    pub legacy_launches: u64,
-    /// OS threads spawned *per launch* (legacy engine only; the pooled
-    /// engine reports 0 here by construction).
-    pub per_launch_thread_spawns: u64,
     /// Persistent pool threads currently alive.
     pub pool_threads: u64,
     /// Total work-groups executed by the persistent pool (all pooled
@@ -180,9 +170,6 @@ impl ExecStats {
         };
         self.last_steal_max_groups = self.last_steal_max_groups.max(other.last_steal_max_groups);
         self.launches += other.launches;
-        self.pooled_launches += other.pooled_launches;
-        self.legacy_launches += other.legacy_launches;
-        self.per_launch_thread_spawns += other.per_launch_thread_spawns;
         self.pool_threads += other.pool_threads;
         self.pool_groups_executed += other.pool_groups_executed;
     }
@@ -217,9 +204,6 @@ pub struct Device {
     /// on drop.
     pool: OnceLock<WorkerPool>,
     launches: AtomicU64,
-    pooled_launches: AtomicU64,
-    legacy_launches: AtomicU64,
-    legacy_thread_spawns: AtomicU64,
     pool_groups: AtomicU64,
     steal_max: AtomicU64,
     steal_min: AtomicU64,
@@ -236,9 +220,6 @@ impl Device {
             clock_ns: AtomicU64::new(0),
             pool: OnceLock::new(),
             launches: AtomicU64::new(0),
-            pooled_launches: AtomicU64::new(0),
-            legacy_launches: AtomicU64::new(0),
-            legacy_thread_spawns: AtomicU64::new(0),
             pool_groups: AtomicU64::new(0),
             steal_max: AtomicU64::new(0),
             steal_min: AtomicU64::new(0),
@@ -338,15 +319,8 @@ impl Device {
     }
 
     /// Records one launch dispatch for [`Device::exec_stats`].
-    pub(crate) fn note_launch(&self, pooled: bool, spawned_threads: usize) {
+    pub(crate) fn note_launch(&self) {
         self.launches.fetch_add(1, Ordering::Relaxed);
-        if pooled {
-            self.pooled_launches.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.legacy_launches.fetch_add(1, Ordering::Relaxed);
-            self.legacy_thread_spawns
-                .fetch_add(spawned_threads as u64, Ordering::Relaxed);
-        }
     }
 
     /// Records the per-worker group counts of a finished pooled launch
@@ -367,9 +341,6 @@ impl Device {
     pub fn exec_stats(&self) -> ExecStats {
         ExecStats {
             launches: self.launches.load(Ordering::Relaxed),
-            pooled_launches: self.pooled_launches.load(Ordering::Relaxed),
-            legacy_launches: self.legacy_launches.load(Ordering::Relaxed),
-            per_launch_thread_spawns: self.legacy_thread_spawns.load(Ordering::Relaxed),
             pool_threads: self.pool.get().map_or(0, |p| p.threads() as u64),
             pool_groups_executed: self.pool_groups.load(Ordering::Relaxed),
             last_steal_max_groups: self.steal_max.load(Ordering::Relaxed),
@@ -451,13 +422,10 @@ mod tests {
     fn exec_stats_start_empty() {
         let d = Device::new(DeviceId(0), DeviceSpec::test_tiny());
         assert_eq!(d.exec_stats(), ExecStats::default());
-        d.note_launch(true, 0);
-        d.note_launch(false, 4);
+        d.note_launch();
+        d.note_launch();
         let s = d.exec_stats();
         assert_eq!(s.launches, 2);
-        assert_eq!(s.pooled_launches, 1);
-        assert_eq!(s.legacy_launches, 1);
-        assert_eq!(s.per_launch_thread_spawns, 4);
         assert_eq!(s.pool_threads, 0); // no pool created yet
     }
 

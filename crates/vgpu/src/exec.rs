@@ -7,27 +7,18 @@
 //! barrier site, which is checked and reported as
 //! [`Error::BarrierDivergence`] instead of OpenCL's undefined behaviour.
 //!
-//! Two execution strategies exist, selectable per launch via
-//! [`LaunchConfig::strategy`] (default from `SKELCL_VGPU_EXEC`):
+//! Every launch runs on the device's persistent [worker pool](crate::pool):
+//! a launch costs a queue push instead of N thread spawns. Kernels whose
+//! [`KernelInfo::barrier_count`] is zero take the **barrier-free fast
+//! path**: one reusable [`WorkItem`] per pool thread is
+//! [`reset`](WorkItem::reset) per item and run to completion in a tight
+//! loop, skipping the lockstep-round machinery and all per-item allocation.
+//! Kernels *with* barriers run lockstep rounds on pooled, reusable items.
 //!
-//! * [`ExecStrategy::Fast`] — launches run on the device's persistent
-//!   [worker pool](crate::pool): a launch costs a queue push instead of N
-//!   thread spawns. Kernels whose [`KernelInfo::barrier_count`] is zero
-//!   additionally take the **barrier-free fast path**: one reusable
-//!   [`WorkItem`] per pool thread is [`reset`](WorkItem::reset) per item and
-//!   run to completion in a tight loop, skipping the lockstep-round
-//!   machinery and all per-item allocation. Kernels *with* barriers keep
-//!   lockstep rounds (on pooled, reusable items).
-//! * [`ExecStrategy::Lockstep`] — the legacy engine: scoped threads spawned
-//!   per launch, a fresh `WorkItem` per work-item, and the reference
-//!   interpreter ([`WorkItem::run_reference`]). Kept precisely so the
-//!   `interp` benchmark can A/B the whole optimisation stack and the
-//!   equivalence tests have a semantic baseline.
-//!
-//! Both strategies iterate the items of a group in the same (row-major
-//! local-id) order, so even racy barrier-free kernels produce bit-identical
-//! buffers within a group, and [`CostCounters`] are identical by
-//! construction — simulated-time results cannot drift with the strategy.
+//! Both paths iterate the items of a group in the same (row-major local-id)
+//! order a sequential lockstep sweep over [`WorkItem::run_reference`] uses,
+//! so even racy barrier-free kernels produce the same buffers within a
+//! group, and [`CostCounters`] are identical by construction.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -42,34 +33,6 @@ use crate::device::Device;
 use crate::error::{Error, Result};
 use crate::memory::BufferTable;
 use crate::ndrange::NdRange;
-
-/// Which execution engine runs a launch (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecStrategy {
-    /// Legacy engine: per-launch scoped threads, per-item `WorkItem`
-    /// construction, reference interpreter.
-    Lockstep,
-    /// Pooled engine with the barrier-free fast path and the optimised
-    /// interpreter.
-    Fast,
-}
-
-impl ExecStrategy {
-    /// Reads the strategy from `SKELCL_VGPU_EXEC` (`lockstep` or `fast`);
-    /// unset or unrecognised values mean [`ExecStrategy::Fast`].
-    pub fn from_env() -> Self {
-        match std::env::var("SKELCL_VGPU_EXEC").as_deref() {
-            Ok("lockstep") => ExecStrategy::Lockstep,
-            _ => ExecStrategy::Fast,
-        }
-    }
-}
-
-impl Default for ExecStrategy {
-    fn default() -> Self {
-        ExecStrategy::from_env()
-    }
-}
 
 /// Deliberate faults injected into the execution engine, for tests that
 /// exercise crash-recovery paths (panics on pool workers, `DeviceLost`
@@ -95,9 +58,6 @@ pub struct LaunchConfig {
     /// Number of host threads executing work-groups (`None`: one per
     /// available CPU).
     pub host_threads: Option<usize>,
-    /// Which execution engine to use (default: `SKELCL_VGPU_EXEC`, falling
-    /// back to [`ExecStrategy::Fast`]).
-    pub strategy: ExecStrategy,
     /// Deliberate fault to inject (tests only; `None` in normal operation).
     pub fault_injection: Option<FaultInjection>,
 }
@@ -108,7 +68,6 @@ impl Default for LaunchConfig {
             toolchain: Toolchain::OpenCl,
             ops_budget_per_item: 1 << 34,
             host_threads: None,
-            strategy: ExecStrategy::default(),
             fault_injection: None,
         }
     }
@@ -128,7 +87,7 @@ impl LaunchConfig {
 /// Everything the pool workers need to execute one launch. Shared as an
 /// `Arc` with every participating worker; owns clones of the program and
 /// argument values so it is `'static` (pool threads outlive the launch
-/// call frame, unlike the legacy scoped threads).
+/// call frame).
 pub(crate) struct LaunchState {
     program: Program,
     kernel: KernelInfo,
@@ -301,10 +260,9 @@ impl LaunchState {
 /// local-memory allocation at all.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {
-    /// The single reusable item of the barrier-free fast path.
-    item: Option<WorkItem>,
-    /// Reusable items of the pooled lockstep path (one per work-item of the
-    /// largest group seen so far).
+    /// Reusable items: the barrier-free fast path rearms `items[0]` per
+    /// work-item; lockstep rounds need one per work-item of the largest
+    /// group seen so far.
     items: Vec<WorkItem>,
     /// The work-group's local-memory arena.
     local_mem: Vec<u8>,
@@ -391,25 +349,25 @@ fn item_geometry(
     }
 }
 
-/// Rearms `item` (or creates it on first use) for the work-item at
-/// `local_id` and binds static `__local` arrays.
+/// Rearms `items[idx]` (creating it on first use) for the work-item with
+/// `geometry` and binds static `__local` arrays.
 fn arm_item<'a>(
-    slot: &'a mut Option<WorkItem>,
+    items: &'a mut Vec<WorkItem>,
+    idx: usize,
     state: &LaunchState,
     geometry: ItemGeometry,
 ) -> &'a mut WorkItem {
-    let item = match slot {
-        Some(item) => {
-            item.reset(&state.program, state.kernel.func, &state.args, geometry);
-            item
-        }
-        None => slot.insert(WorkItem::new(
+    if idx == items.len() {
+        items.push(WorkItem::new(
             &state.program,
             state.kernel.func,
             &state.args,
             geometry,
-        )),
-    };
+        ));
+    } else {
+        items[idx].reset(&state.program, state.kernel.func, &state.args, geometry);
+    }
+    let item = &mut items[idx];
     item.set_ops_budget(state.ops_budget);
     for b in &state.kernel.local_arrays {
         item.bind_entry_slot(
@@ -425,7 +383,7 @@ fn arm_item<'a>(
 }
 
 /// Barrier-free fast path: each item runs start-to-finish on one reusable
-/// `WorkItem`, in the same row-major order the lockstep path would use.
+/// `WorkItem`, in the same row-major order lockstep rounds use.
 fn run_group_fast(
     state: &LaunchState,
     scratch: &mut WorkerScratch,
@@ -441,7 +399,7 @@ fn run_group_fast(
                 let local_id = [lx as u64, ly as u64, lz as u64];
                 let geometry = item_geometry(range, state.group_counts, group_id, local_id);
                 let global_id = geometry.global_id;
-                let item = arm_item(&mut scratch.item, state, geometry);
+                let item = arm_item(&mut scratch.items, 0, state, geometry);
                 match item.run(&state.buffers, &mut scratch.local_mem) {
                     Ok(Exit::Done) => counters.merge(&item.counters),
                     Ok(Exit::Barrier(_)) => {
@@ -468,8 +426,8 @@ fn run_group_fast(
     Ok(counters)
 }
 
-/// Pooled lockstep path for kernels with barriers: the classic round
-/// machinery, but on reusable `WorkItem`s and the optimised interpreter.
+/// Lockstep rounds for kernels with barriers, on reusable `WorkItem`s and
+/// the optimised interpreter.
 fn run_group_lockstep(
     state: &LaunchState,
     scratch: &mut WorkerScratch,
@@ -486,33 +444,7 @@ fn run_group_lockstep(
             for lx in 0..range.local[0] {
                 let local_id = [lx as u64, ly as u64, lz as u64];
                 let geometry = item_geometry(range, state.group_counts, group_id, local_id);
-                if idx == scratch.items.len() {
-                    scratch.items.push(WorkItem::new(
-                        &state.program,
-                        state.kernel.func,
-                        &state.args,
-                        geometry,
-                    ));
-                } else {
-                    scratch.items[idx].reset(
-                        &state.program,
-                        state.kernel.func,
-                        &state.args,
-                        geometry,
-                    );
-                }
-                let item = &mut scratch.items[idx];
-                item.set_ops_budget(state.ops_budget);
-                for b in &state.kernel.local_arrays {
-                    item.bind_entry_slot(
-                        b.slot,
-                        Value::Ptr(Ptr {
-                            space: AddressSpace::Local,
-                            buffer: 0,
-                            byte_offset: b.byte_offset as i64,
-                        }),
-                    );
-                }
+                arm_item(&mut scratch.items, idx, state, geometry);
                 idx += 1;
             }
         }
@@ -583,8 +515,7 @@ pub(crate) fn execute_launch(
     local_bytes: usize,
     config: &LaunchConfig,
 ) -> Result<CostCounters> {
-    let total_groups = range.total_groups();
-    if total_groups == 0 {
+    if range.total_groups() == 0 {
         return Ok(CostCounters::default());
     }
 
@@ -597,192 +528,18 @@ pub(crate) fn execute_launch(
         })
         .max(1);
 
-    match config.strategy {
-        ExecStrategy::Fast => {
-            let state = Arc::new(LaunchState::new(
-                program,
-                kernel,
-                args,
-                buffers,
-                range,
-                local_bytes,
-                config,
-            ));
-            let pool = device.worker_pool(threads);
-            device.note_launch(true, 0);
-            pool.run(&state);
-            device.note_pool_groups(&state.worker_group_counts());
-            state.outcome()
-        }
-        ExecStrategy::Lockstep => {
-            let threads = threads.min(total_groups);
-            device.note_launch(false, threads);
-            execute_launch_legacy(
-                program,
-                kernel,
-                args,
-                buffers,
-                range,
-                local_bytes,
-                config,
-                threads,
-            )
-        }
-    }
-}
-
-/// The legacy engine: scoped threads spawned per launch, fresh `WorkItem`s
-/// per item, reference interpreter. The `interp` benchmark's baseline.
-#[allow(clippy::too_many_arguments)]
-fn execute_launch_legacy(
-    program: &Program,
-    kernel: &KernelInfo,
-    args: &[Value],
-    buffers: &BufferTable,
-    range: &NdRange,
-    local_bytes: usize,
-    config: &LaunchConfig,
-    threads: usize,
-) -> Result<CostCounters> {
-    let group_counts = range.group_counts();
-    let total_groups = range.total_groups();
-
-    let next_group = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let failure: Mutex<Option<Error>> = Mutex::new(None);
-    let totals: Mutex<CostCounters> = Mutex::new(CostCounters::default());
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local_counters = CostCounters::default();
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let g = next_group.fetch_add(1, Ordering::Relaxed);
-                    if g >= total_groups {
-                        break;
-                    }
-                    let gx = g % group_counts[0];
-                    let gy = (g / group_counts[0]) % group_counts[1];
-                    let gz = g / (group_counts[0] * group_counts[1]);
-                    match run_group_reference(
-                        program,
-                        kernel,
-                        args,
-                        buffers,
-                        range,
-                        [gx as u64, gy as u64, gz as u64],
-                        local_bytes,
-                        config,
-                    ) {
-                        Ok(c) => local_counters.merge(&c),
-                        Err(e) => {
-                            abort.store(true, Ordering::Relaxed);
-                            let mut slot = failure.lock().expect("failure mutex");
-                            slot.get_or_insert(e);
-                            break;
-                        }
-                    }
-                }
-                totals.lock().expect("totals mutex").merge(&local_counters);
-            });
-        }
-    });
-
-    if let Some(e) = failure.into_inner().expect("failure mutex") {
-        return Err(e);
-    }
-    Ok(totals.into_inner().expect("totals mutex"))
-}
-
-/// Runs one work-group's items in lockstep rounds with fresh `WorkItem`s on
-/// the reference interpreter (legacy engine).
-#[allow(clippy::too_many_arguments)]
-fn run_group_reference(
-    program: &Program,
-    kernel: &KernelInfo,
-    args: &[Value],
-    buffers: &BufferTable,
-    range: &NdRange,
-    group_id: [u64; 3],
-    local_bytes: usize,
-    config: &LaunchConfig,
-) -> Result<CostCounters> {
-    let group_counts = range.group_counts();
-    let items_per_group = range.items_per_group();
-    let mut local_mem = vec![0u8; local_bytes];
-
-    let mut items: Vec<WorkItem> = Vec::with_capacity(items_per_group);
-    for lz in 0..range.local[2] {
-        for ly in 0..range.local[1] {
-            for lx in 0..range.local[0] {
-                let local_id = [lx as u64, ly as u64, lz as u64];
-                let geometry = item_geometry(range, group_counts, group_id, local_id);
-                let mut item = WorkItem::new(program, kernel.func, args, geometry);
-                item.set_ops_budget(config.ops_budget_per_item);
-                for b in &kernel.local_arrays {
-                    item.bind_entry_slot(
-                        b.slot,
-                        Value::Ptr(Ptr {
-                            space: AddressSpace::Local,
-                            buffer: 0,
-                            byte_offset: b.byte_offset as i64,
-                        }),
-                    );
-                }
-                items.push(item);
-            }
-        }
-    }
-
-    // Lockstep rounds across barriers.
-    loop {
-        let mut barrier: Option<u32> = None;
-        let mut any_done = false;
-        for item in items.iter_mut() {
-            if item.is_finished() {
-                any_done = true;
-                continue;
-            }
-            let global_id = item.geometry().global_id;
-            let exit = item
-                .run_reference(buffers, &mut local_mem)
-                .map_err(|error| Error::Launch {
-                    kernel: kernel.name.clone(),
-                    global_id,
-                    error,
-                })?;
-            match exit {
-                Exit::Done => any_done = true,
-                Exit::Barrier(id) => match barrier {
-                    None => barrier = Some(id),
-                    Some(prev) if prev == id => {}
-                    Some(_) => {
-                        return Err(Error::BarrierDivergence {
-                            kernel: kernel.name.clone(),
-                            group_id,
-                        })
-                    }
-                },
-            }
-        }
-        match barrier {
-            None => break, // every item finished
-            Some(_) if any_done => {
-                return Err(Error::BarrierDivergence {
-                    kernel: kernel.name.clone(),
-                    group_id,
-                });
-            }
-            Some(_) => {} // all at the same barrier: next round resumes them
-        }
-    }
-
-    let mut counters = CostCounters::default();
-    for item in &items {
-        counters.merge(&item.counters);
-    }
-    Ok(counters)
+    let state = Arc::new(LaunchState::new(
+        program,
+        kernel,
+        args,
+        buffers,
+        range,
+        local_bytes,
+        config,
+    ));
+    let pool = device.worker_pool(threads);
+    device.note_launch();
+    pool.run(&state);
+    device.note_pool_groups(&state.worker_group_counts());
+    state.outcome()
 }

@@ -94,7 +94,7 @@ impl Platform {
     }
 
     /// Host-side execution statistics aggregated over all devices (launch
-    /// dispatch counts, per-launch thread spawns, live pool threads).
+    /// counts, live pool threads, steal-cursor telemetry).
     pub fn exec_stats(&self) -> crate::device::ExecStats {
         let mut total = crate::device::ExecStats::default();
         for d in &self.devices {

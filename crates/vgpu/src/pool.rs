@@ -1,8 +1,7 @@
 //! Persistent per-device worker pools.
 //!
-//! A [`WorkerPool`] is created lazily on a device's first
-//! [`ExecStrategy::Fast`](crate::ExecStrategy::Fast) launch and lives until
-//! the device drops. Each worker owns a
+//! A [`WorkerPool`] is created lazily on a device's first launch and
+//! lives until the device drops. Each worker owns a
 //! [`WorkerScratch`](crate::exec::WorkerScratch) for the thread's lifetime,
 //! so `WorkItem` and local-memory allocations are recycled **across**
 //! launches, not just within one — a kernel launch costs a channel send per

@@ -9,8 +9,8 @@ use std::sync::{Arc, Mutex};
 use skelcl_kernel::compile;
 use skelcl_kernel::program::Program;
 use vgpu::{
-    CommandClass, DeviceSpec, Error, ExecStrategy, FaultInjection, KernelArg, LaunchConfig,
-    NdRange, Platform, QueueNotice, QueuePhase,
+    CommandClass, DeviceSpec, Error, FaultInjection, KernelArg, LaunchConfig, NdRange, Platform,
+    QueueNotice, QueuePhase,
 };
 
 fn ok_program() -> Program {
@@ -23,7 +23,6 @@ fn ok_program() -> Program {
 
 fn config(fault: Option<FaultInjection>) -> LaunchConfig {
     LaunchConfig {
-        strategy: ExecStrategy::Fast,
         fault_injection: fault,
         ..LaunchConfig::default()
     }
@@ -79,10 +78,9 @@ fn injected_panic_surfaces_as_device_lost_and_pool_survives() {
         assert_eq!(v, i as i32 * 3);
     }
 
-    // The pool never restarted: still pooled launches, no per-launch spawns.
+    // The pool never restarted: every launch stayed on it.
     let stats = platform.exec_stats();
     assert_eq!(stats.launches, 5);
-    assert_eq!(stats.per_launch_thread_spawns, 0);
     assert!(stats.pool_threads >= 1);
     assert!(
         stats.pool_groups_executed >= 3,

@@ -37,14 +37,16 @@ figures:
     cargo run --release -p skelcl-bench --bin interp
     cargo run --release -p skelcl-bench --bin loc_table
 
-# A/B the two vgpu execution engines (EXT-INTERP): pooled fast engine vs
-# legacy lockstep, with bit-identical-output checks and spawn accounting.
+# The vgpu launch engine vs the reference interpreter (EXT-INTERP): the
+# pool against a single-threaded run_reference sweep, with bit-identical
+# output and counter checks.
 bench-interp:
     cargo run --release -p skelcl-bench --bin interp
 
-# A/B the two compile pipelines (EXT-IR): legacy stack codegen vs the MIR
-# optimization passes, per pass and end-to-end. Same binary as
-# bench-interp — the EXT-IR section is the second half of its report.
+# The MIR optimization passes vs the reference pipeline (EXT-IR): MIR
+# without passes (SKELCL_KERNEL_OPT=0) against each pass and the full
+# pipeline, per pass and end-to-end. Same binary as bench-interp — the
+# EXT-IR section is the second half of its report.
 bench-ir:
     cargo run --release -p skelcl-bench --bin interp
 
