@@ -7,44 +7,84 @@ use std::io;
 use std::path::Path;
 
 /// Counts non-blank, non-comment lines (`//` lines and `/* */` blocks are
-/// excluded; code sharing a line with a trailing comment counts).
+/// excluded; code sharing a line with a trailing comment counts). String
+/// literals (plain, escaped and Rust raw strings) and char literals are
+/// code: comment markers inside them do not start a comment, and a line
+/// inside a multi-line string literal counts.
 pub fn count_loc(source: &str) -> usize {
-    let mut in_block_comment = false;
+    #[derive(Clone, Copy, PartialEq)]
+    enum State {
+        Code,
+        Block,
+        Str,
+        /// Inside a raw string closed by `"` and this many `#`.
+        RawStr(usize),
+    }
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut state = State::Code;
     let mut count = 0;
     for line in source.lines() {
+        let chars: Vec<char> = line.chars().collect();
+        let at = |i: usize| chars.get(i).copied();
         let mut code = false;
-        let mut rest = line.trim();
-        while !rest.is_empty() {
-            if in_block_comment {
-                match rest.find("*/") {
-                    Some(i) => {
-                        in_block_comment = false;
-                        rest = rest[i + 2..].trim_start();
+        let mut i = 0;
+        while i < chars.len() {
+            let c = chars[i];
+            if state == State::Code && c == '/' {
+                match at(i + 1) {
+                    Some('/') => break,
+                    Some('*') => {
+                        state = State::Block;
+                        i += 2;
+                        continue;
                     }
-                    None => break,
+                    _ => {}
                 }
-            } else if let Some(i) = rest.find("/*") {
-                if rest[..i].find("//").is_some() {
-                    // Line comment precedes the block start.
-                    if !rest[..rest.find("//").unwrap()].trim().is_empty() {
-                        code = true;
-                    }
-                    break;
-                }
-                if !rest[..i].trim().is_empty() {
-                    code = true;
-                }
-                in_block_comment = true;
-                rest = rest[i + 2..].trim_start();
-            } else if let Some(i) = rest.find("//") {
-                if !rest[..i].trim().is_empty() {
-                    code = true;
-                }
-                break;
-            } else {
-                code = true;
-                break;
             }
+            if state != State::Block && !c.is_whitespace() {
+                code = true;
+            }
+            match state {
+                State::Block if c == '*' && at(i + 1) == Some('/') => {
+                    state = State::Code;
+                    i += 1;
+                }
+                State::Str if c == '\\' => i += 1,
+                State::Str if c == '"' => state = State::Code,
+                State::RawStr(hashes)
+                    if c == '"' && (1..=hashes).all(|k| at(i + k) == Some('#')) =>
+                {
+                    state = State::Code;
+                    i += hashes;
+                }
+                State::Code => match (c, at(i + 1)) {
+                    ('"', _) => state = State::Str,
+                    // A char literal (`'x'`, `'"'`, `'\n'`); a lone quote
+                    // is a Rust lifetime or label.
+                    ('\'', Some('\\')) => {
+                        i += 2;
+                        while at(i).is_some_and(|c| c != '\'') {
+                            i += 1;
+                        }
+                    }
+                    ('\'', Some(_)) if at(i + 2) == Some('\'') => i += 2,
+                    // A raw string `r"…"` / `r#"…"#` (or `br…`) token.
+                    ('r', _)
+                        if i == 0
+                            || !ident(chars[i - 1])
+                            || (chars[i - 1] == 'b' && (i == 1 || !ident(chars[i - 2]))) =>
+                    {
+                        let hashes = chars[i + 1..].iter().take_while(|&&c| c == '#').count();
+                        if at(i + 1 + hashes) == Some('"') {
+                            state = State::RawStr(hashes);
+                            i += 1 + hashes;
+                        }
+                    }
+                    _ => {}
+                },
+                _ => {}
+            }
+            i += 1;
         }
         if code {
             count += 1;
@@ -232,6 +272,25 @@ int y = 2;
     fn block_comment_spanning_code() {
         let src = "a /* start\n middle \n end */ b\nc";
         assert_eq!(count_loc(src), 3); // `a`, `b`, `c` lines have code
+    }
+
+    #[test]
+    fn comment_markers_inside_literals_are_code() {
+        // A `/*` in a string literal must not open a block comment: the
+        // lines after it are code.
+        let src = "let s = \"/*\";\nlet t = 1;\nlet u = 2;\n";
+        assert_eq!(count_loc(src), 3);
+        // Nor does `//` in a string end the line's code, or a quote in a
+        // char literal open a string.
+        let src = "let q = '\"';\n/* c */\nlet url = \"a//b\"; /* d\n*/\n";
+        assert_eq!(count_loc(src), 2);
+        // Raw strings may contain quotes; lifetimes are not char literals.
+        let src = "let r = r#\"say \"/*\"\"#;\nfn f<'a>(x: &'a str) {}\ny\n";
+        assert_eq!(count_loc(src), 3);
+        // Lines inside a multi-line string literal count, escapes included.
+        let src = "let k = \"a\\\"\n  /* still a string */\n\";\n// note\n";
+        assert_eq!(count_loc(src), 3);
+        assert_eq!(count_loc("let c = '\\n'; /* x */ z\n"), 1);
     }
 
     #[test]

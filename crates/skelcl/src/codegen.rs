@@ -454,6 +454,11 @@ pub(crate) struct StageSpec {
     pub name: String,
     /// Output scalar type of the stage.
     pub ret: ScalarType,
+    /// The skeleton's own welded program and its entry point
+    /// (`skelcl_map`, `skelcl_zip`), launched when the stage alone forms a
+    /// region over container sources. `None` for operator stages that
+    /// only ever inline into other kernels (Scan's offset operator).
+    pub standalone: Option<(skelcl_kernel::Program, &'static str)>,
 }
 
 /// Builds the fusion [`StageSpec`] for a validated elementwise customizing
@@ -467,6 +472,7 @@ pub(crate) fn stage_spec(f: &UserFunction, ret: ScalarType) -> StageSpec {
         source: pretty::print_unit(&unit),
         name,
         ret,
+        standalone: None,
     }
 }
 

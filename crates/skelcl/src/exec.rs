@@ -16,15 +16,19 @@
 //! 6. execute the [`crate::engine::LaunchPlan`] and record the events into
 //!    the skeleton's [`EventLog`] ([`SkeletonCore::run`]).
 //!
-//! `Map`, `Zip` and fused expression chains share stages 3–6 verbatim via
-//! [`elementwise_vector`] / [`elementwise_matrix`]; `Reduce`, `Scan`,
-//! `MapOverlap` and `Allpairs` plug their own stage-5 plan construction
-//! into the same skeleton core.
+//! The 1-D calls of `Map`, `Zip`, `MapOverlapVec`, `Reduce` and `Scan`
+//! run stages 3–6 through the plan lowering ([`crate::plan`]): each eager
+//! call is the one-node plan its `lazy` form builds, lowered with no rule
+//! firing, so it launches the skeleton's own kernel exactly as a staged
+//! pipeline stage does. The matrix calls, `Map::call_index` and
+//! `Allpairs` have no plan node yet and plug their own stage-5 launches
+//! into the same skeleton core ([`elementwise_matrix`] for matrix
+//! `Map`/`Zip`).
 
 use vgpu::{Event, KernelArg, NdRange};
 
 use crate::container::data::DeviceChunk;
-use crate::container::{Matrix, Vector};
+use crate::container::Matrix;
 use crate::context::Context;
 use crate::distribution::Distribution;
 use crate::engine::LaunchPlan;
@@ -237,7 +241,7 @@ pub(crate) fn stencil_distributions(
 
 /// A container usable as an elementwise-pipeline input: enough to resolve
 /// a distribution and materialise device chunks without knowing the
-/// element type. Implemented by [`Vector`] and [`Matrix`]; the fused
+/// element type. Implemented by [`crate::Vector`] and [`Matrix`]; the fused
 /// expression layer stores its sources behind this trait.
 pub(crate) trait ElementwiseInput: std::fmt::Debug + Send + Sync {
     /// The owning context.
@@ -301,28 +305,10 @@ pub(crate) fn elementwise_launches(
         .collect()
 }
 
-/// Stages 3–6 for an elementwise skeleton producing a vector: resolve the
+/// Stages 3–6 for an elementwise skeleton producing a matrix: resolve the
 /// distribution from the first input, materialise every input, allocate
-/// the output, launch and record.
-pub(crate) fn elementwise_vector<O: KernelScalar>(
-    core: &SkeletonCore,
-    kernel: &str,
-    inputs: &[&dyn ElementwiseInput],
-    extra: &[Value],
-) -> Result<Vector<O>> {
-    let dist = elementwise_distribution(inputs[0].input_distribution(Distribution::Block));
-    let in_chunks = materialize(inputs, dist)?;
-    let (output, out_chunks) = Vector::alloc_device(&core.ctx, inputs[0].input_len(), dist)?;
-    core.run(
-        kernel,
-        elementwise_launches(&in_chunks, &out_chunks, 1, extra),
-    )?;
-    output.mark_device_written();
-    Ok(output)
-}
-
-/// Matrix variant of [`elementwise_vector`] (the distribution unit is a
-/// row, so each launch covers `core rows × cols` elements).
+/// the output, launch and record. The distribution unit is a row, so each
+/// launch covers `core rows × cols` elements.
 pub(crate) fn elementwise_matrix<O: KernelScalar>(
     core: &SkeletonCore,
     kernel: &str,

@@ -1,6 +1,6 @@
 //! Lazy skeleton expressions lowered through the plan layer.
 //!
-//! [`crate::Map::lazy`], [`crate::Zip::lazy`], [`crate::MapOverlap::lazy`]
+//! [`crate::Map::lazy`], [`crate::Zip::lazy`], [`crate::MapOverlapVec::lazy`]
 //! and [`crate::Scan::lazy`] defer their stage into an [`Expr`] instead of
 //! executing it. Chained stages form a logical plan DAG (see
 //! [`crate::plan`]) whose leaves are containers; [`Expr::eval`] lowers the
@@ -10,16 +10,19 @@
 //! Each stage's customizing function (with its helpers) is renamed with a
 //! content-derived suffix so every stage coexists in a single translation
 //! unit, and the per-element value is computed by a nested call expression
-//! with no intermediate buffer. Feeding an expression to
-//! [`crate::Reduce::call_fused`] goes further: the elementwise DAG becomes
-//! the load prologue of the tree reduction, so the paper's dot product
-//! (§3.3, zip-mult then reduce-add) runs as a single pass over the two
-//! input vectors.
+//! with no intermediate buffer; extras bound with `lazy_with` become C
+//! literals there. A single stage over containers is not welded: it runs
+//! the skeleton's own kernel with its extras as kernel arguments, which is
+//! exactly how the eager `call`s run (each is a one-node plan). Feeding an
+//! expression to [`crate::Reduce::call_fused`] goes further: the
+//! elementwise DAG becomes the load prologue of the tree reduction, so the
+//! paper's dot product (§3.3, zip-mult then reduce-add) runs as a single
+//! pass over the two input vectors.
 //!
 //! The `SKELCL_PLAN` environment variable selects which rewrite rules
 //! apply ([`crate::plan::PlanConfig`]); `SKELCL_PLAN=0` stages every node
-//! through an intermediate vector, which is the bit-identical oracle the
-//! fused paths are validated against.
+//! through an intermediate vector with the skeleton's own kernel, which is
+//! the bit-identical oracle the fused paths are validated against.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -30,6 +33,7 @@ use crate::codegen::StageSpec;
 use crate::container::Vector;
 use crate::context::Context;
 use crate::error::Result;
+use crate::exec::skeleton_span;
 use crate::plan::{eval_vector, FusedPlan, PlanNode};
 use crate::skeleton::EventLog;
 use crate::types::KernelScalar;
@@ -38,7 +42,7 @@ use crate::types::KernelScalar;
 ///
 /// Built from containers ([`Vector::expr`] or `Expr::from(&vector)`) and
 /// composed through [`crate::Map::lazy`] / [`crate::Zip::lazy`] /
-/// [`crate::MapOverlap::lazy`] / [`crate::Scan::lazy`]; executed by
+/// [`crate::MapOverlapVec::lazy`] / [`crate::Scan::lazy`]; executed by
 /// [`Expr::eval`] (lowered through the plan rewrite rules) or
 /// [`crate::Reduce::call_fused`] (fused into the reduction's first pass).
 ///
@@ -172,6 +176,7 @@ impl<O: KernelScalar> Expr<O> {
     /// Fails on mismatched source lengths or contexts, plus any platform
     /// failure.
     pub fn eval(&self) -> Result<Vector<O>> {
+        let _span = skeleton_span(self.node.ctx(), "Expr.eval");
         eval_vector(&self.node, None)
     }
 
@@ -183,6 +188,7 @@ impl<O: KernelScalar> Expr<O> {
     ///
     /// As for [`Expr::eval`].
     pub fn eval_logged(&self, log: &EventLog) -> Result<Vector<O>> {
+        let _span = skeleton_span(self.node.ctx(), "Expr.eval");
         eval_vector(&self.node, Some(log))
     }
 }

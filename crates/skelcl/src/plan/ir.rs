@@ -33,7 +33,8 @@ pub(crate) enum PlanNode {
         ctx: Context,
         /// Generated stage function (suffixed user code).
         stage: StageSpec,
-        /// Extra scalar arguments baked into the stage call.
+        /// Extra scalar arguments: kernel arguments when the stage runs
+        /// alone, literals inside a fused chain.
         extras: Vec<Value>,
         /// Argument subtrees, one per stage input.
         args: Vec<Arc<PlanNode>>,
@@ -122,8 +123,9 @@ pub(crate) struct StencilSpec {
     pub(crate) out_scalar: ScalarType,
     /// Extra scalar arguments for this invocation.
     pub(crate) extras: Vec<Value>,
-    /// Pre-built standalone program (`skelcl_mapoverlap_vec`), used by the
-    /// staged path so PLAN=0 matches the eager skeleton byte-for-byte.
+    /// The skeleton's own program (`skelcl_mapoverlap_vec`), launched
+    /// whenever the stencil does not fuse with its producer — always for
+    /// an eager `MapOverlapVec::call_with`.
     pub(crate) standalone: Program,
 }
 

@@ -2,27 +2,30 @@
 //! scan-offset pass.
 //!
 //! [`Lowering`] walks a [`PlanNode`] tree bottom-up, applying whichever
-//! rewrite rules the [`PlanConfig`] enables. Elementwise regions that stay
-//! fused compile to one `skelcl_fused` kernel (byte-identical to the PR 4
-//! expression layer when no scan leaf participates); everything else is
-//! *staged* — materialised into a fresh intermediate vector and re-entered
-//! as a `Source` leaf, which is exactly what `SKELCL_PLAN=0` does for
-//! every stage.
+//! rewrite rules the [`PlanConfig`] enables. A region that is one stage
+//! over container sources launches the skeleton's own program (this is
+//! how every eager 1-D call runs: a one-node plan lowered with no rule
+//! firing); a larger elementwise region compiles to one `skelcl_fused`
+//! kernel. Everything else is *staged* — materialised into a fresh
+//! intermediate vector and re-entered as a `Source` leaf, which is exactly
+//! what `SKELCL_PLAN=0` does for every stage, so the staged oracle runs
+//! the skeletons' own kernels.
 
 use std::sync::Arc;
 
 use skelcl_kernel::types::ScalarType;
 use skelcl_kernel::value::Value;
+use skelcl_kernel::Program;
 use vgpu::{Event, KernelArg, NdRange};
 
-use crate::codegen::{c_literal, compile_cached};
+use crate::codegen::{c_literal, compile_cached, StageSpec};
 use crate::container::data::DeviceChunk;
 use crate::container::Vector;
 use crate::context::Context;
 use crate::distribution::Distribution;
 use crate::error::{Error, Result};
 use crate::exec::{
-    elementwise_distribution, elementwise_launches, materialize, run_launches, skeleton_span,
+    elementwise_distribution, elementwise_launches, materialize, run_launches,
     stencil_distributions, DeviceLaunch, ElementwiseInput,
 };
 use crate::skeleton::EventLog;
@@ -32,8 +35,8 @@ use super::cost::should_fuse_stencil;
 use super::ir::{PlanNode, ScanOffsetState, StencilSpec};
 use super::PlanConfig;
 
-/// Work-group size for the stencil and scan-offset launches (matches the
-/// eager skeletons).
+/// Work-group size for the stencil and scan-offset launches (the one the
+/// skeletons' own kernels are written for).
 const WG: usize = 256;
 
 /// Dispatches a call generic over [`KernelScalar`] on a runtime
@@ -122,7 +125,7 @@ impl<'a> FusedPlan<'a> {
                     Some(first) if first.same_as(ctx) => {}
                     Some(_) if self.error.is_none() => {
                         self.error = Some(Error::ShapeMismatch {
-                            reason: "fused expression mixes containers or skeletons \
+                            reason: "skeleton inputs mix containers or skeletons \
                                      from different contexts"
                                 .into(),
                         });
@@ -230,7 +233,7 @@ impl<'a> FusedPlan<'a> {
         }
         let Some(first) = b.sources.first() else {
             return Err(Error::ShapeMismatch {
-                reason: "fused expression has no container sources".into(),
+                reason: "skeleton inputs include no container source".into(),
             });
         };
         let len = first.input_len();
@@ -238,7 +241,7 @@ impl<'a> FusedPlan<'a> {
             if s.input_len() != len {
                 return Err(Error::ShapeMismatch {
                     reason: format!(
-                        "fused expression requires equal source lengths, found {} and {}",
+                        "skeleton inputs require equal lengths, found {} and {}",
                         len,
                         s.input_len()
                     ),
@@ -515,7 +518,7 @@ impl Lowering {
                 for a in args {
                     let mut c = self.collapse_arg(a, allow_scan)?;
                     if matches!(c.as_ref(), PlanNode::Apply { .. }) {
-                        if self.cfg.chain && !self.cfg.staged {
+                        if self.cfg.chain {
                             self.fire("chain");
                             self.nodes_fused += 1;
                         } else {
@@ -532,7 +535,7 @@ impl Lowering {
                 }))
             }
             PlanNode::ScanOffset { ctx, state } => {
-                if self.cfg.scan_offset && !self.cfg.staged && allow_scan && !state.is_applied() {
+                if self.cfg.scan_offset && allow_scan && !state.is_applied() {
                     self.fire("scan-offset");
                     self.nodes_fused += 1;
                     Ok(node.clone())
@@ -556,36 +559,50 @@ impl Lowering {
     }
 
     fn finish_region<T: KernelScalar>(&mut self, node: &Arc<PlanNode>) -> Result<Arc<PlanNode>> {
-        let p = FusedPlan::build(node)?;
-        let ctx = p.ctx.clone();
-        let len = p.len;
-        let out = self.run_region_typed::<T>(&p, false)?;
-        self.intermediate_bytes += (len * T::SCALAR.size_bytes()) as u64;
+        let out = self.run_region_typed::<T>(node, false)?;
+        self.intermediate_bytes += (out.len() * T::SCALAR.size_bytes()) as u64;
         Ok(Arc::new(PlanNode::Source {
-            ctx,
+            ctx: node.ctx().clone(),
             input: Box::new(out),
             fresh: true,
         }))
     }
 
-    /// Compiles and launches one fused elementwise region. `root` regions
-    /// open the public `Expr.eval` skeleton span (bumping
-    /// `skeleton.calls`, as the PR 4 layer did); staged intermediates get
-    /// a `plan.stage` span without the counter, so default-path call
-    /// counts are unchanged.
+    /// Launches one collapsed elementwise region. A region that is one
+    /// stage over container sources runs the skeleton's own program (the
+    /// one-node rule); any other region welds into a `skelcl_fused`
+    /// kernel. The `root` region runs inside the caller's span; staged
+    /// intermediates get a `plan.stage` span (no `skeleton.calls` bump).
     fn run_region_typed<O: KernelScalar>(
         &mut self,
-        p: &FusedPlan,
+        node: &Arc<PlanNode>,
         root: bool,
     ) -> Result<Vector<O>> {
+        let p = FusedPlan::build(node)?;
         debug_assert!(!p.has_stencil, "stencil nodes are lowered by eval_stencil");
-        let _span = if root {
-            skeleton_span(&p.ctx, "Expr.eval")
-        } else {
+        let _span = (!root).then(|| {
             p.ctx
                 .profiler()
                 .host_span(skelcl_profile::SpanKind::Skeleton, "plan.stage")
-        };
+        });
+        // The one-node rule: one stage over container sources launches
+        // the skeleton's own program, extras as kernel arguments.
+        if let PlanNode::Apply {
+            stage:
+                StageSpec {
+                    standalone: Some((program, kernel)),
+                    ..
+                },
+            extras,
+            args,
+            ..
+        } = node.as_ref()
+        {
+            if let Some(sources) = source_args(args) {
+                return self
+                    .launch_elementwise(&p.ctx, p.len, &sources, program, kernel, None, extras);
+            }
+        }
         let source = format!(
             "{units}\n\
              __kernel void skelcl_fused({params}__global {out}* skelcl_out, int skelcl_n) {{\n\
@@ -598,36 +615,62 @@ impl Lowering {
             expr = p.load_expr,
         );
         let program = compile_cached(&p.ctx, "skelcl_fused.cl", &source)?;
-        let dist = elementwise_distribution(p.sources[0].input_distribution(Distribution::Block));
-        let bytes_per_unit: usize =
-            p.input_types.iter().map(|t| t.size_bytes()).sum::<usize>() + O::SCALAR.size_bytes();
-        if let Some(sched) =
-            crate::stream::plan_stream(&p.ctx, p.len, dist, bytes_per_unit, &|_| 0, 0)
-        {
+        self.launch_elementwise(
+            &p.ctx,
+            p.len,
+            &p.sources,
+            &program,
+            "skelcl_fused",
+            Some(&p),
+            &[],
+        )
+    }
+
+    /// Runs an elementwise kernel over `sources` into a new vector: streamed
+    /// when the working set exceeds the device budget, else one launch per
+    /// output chunk with arguments `in0, …, [scan pairs,] out, n, extras…`.
+    /// `scan` is the fused plan whose folded scan leaves feed the kernel's
+    /// offset pairs (`None` for the skeletons' own kernels).
+    #[allow(clippy::too_many_arguments)]
+    fn launch_elementwise<O: KernelScalar>(
+        &mut self,
+        ctx: &Context,
+        len: usize,
+        sources: &[&dyn ElementwiseInput],
+        program: &Program,
+        kernel: &str,
+        scan: Option<&FusedPlan>,
+        extras: &[Value],
+    ) -> Result<Vector<O>> {
+        let scan = scan.filter(|p| !p.scan_leaves.is_empty());
+        let dist = elementwise_distribution(sources[0].input_distribution(Distribution::Block));
+        let bytes_per_unit: usize = sources
+            .iter()
+            .map(|s| s.input_scalar().size_bytes())
+            .sum::<usize>()
+            + O::SCALAR.size_bytes();
+        if let Some(sched) = crate::stream::plan_stream(ctx, len, dist, bytes_per_unit, &|_| 0, 0) {
             // Streamed chunks do not line up with the chunks a folded scan
             // recorded, so land the offsets in the source first — the
             // exact pass the oracle's `prepare_scan` runs for misaligned
             // chunks, keeping results bit-identical.
-            p.apply_scan_offsets(&mut self.events)?;
-            let scan_args: Vec<KernelArg> = p
-                .scan_leaves
-                .iter()
-                .flat_map(|leaf| {
-                    [
-                        KernelArg::Scalar(Value::I32(0)),
-                        KernelArg::Scalar(leaf.state.zero),
-                    ]
-                })
-                .collect();
+            let mut scan_args = Vec::new();
+            if let Some(p) = scan {
+                p.apply_scan_offsets(&mut self.events)?;
+                for leaf in &p.scan_leaves {
+                    scan_args.push(KernelArg::Scalar(Value::I32(0)));
+                    scan_args.push(KernelArg::Scalar(leaf.state.zero));
+                }
+            }
             let bytes = crate::stream::stream_map_like(
-                &p.ctx,
+                ctx,
                 &sched,
                 0,
-                p.len,
-                &p.sources,
+                len,
+                sources,
                 O::SCALAR.size_bytes(),
-                &program,
-                "skelcl_fused",
+                program,
+                kernel,
                 &|chunk, ins, out| {
                     let mut args: Vec<KernelArg> =
                         ins.iter().map(|b| KernelArg::Buffer(b.clone())).collect();
@@ -635,21 +678,21 @@ impl Lowering {
                     args.push(KernelArg::Buffer(out.clone()));
                     let n = chunk.range.len();
                     args.push(KernelArg::Scalar(Value::I32(n as i32)));
+                    args.extend(extras.iter().map(|v| KernelArg::Scalar(*v)));
                     (args, NdRange::linear_default(n))
                 },
                 &mut self.events,
             )?;
-            return Ok(Vector::from_vec(&p.ctx, crate::types::from_bytes(&bytes)));
+            return Ok(Vector::from_vec(ctx, crate::types::from_bytes(&bytes)));
         }
-        let in_chunks = materialize(&p.sources, dist)?;
-        if !p.scan_leaves.is_empty() {
+        let in_chunks = materialize(sources, dist)?;
+        if let Some(p) = scan {
             p.prepare_scan(&in_chunks, &mut self.events)?;
         }
-        let (output, out_chunks) = Vector::alloc_device(&p.ctx, p.len, dist)?;
-        let launches = if p.scan_leaves.is_empty() {
-            elementwise_launches(&in_chunks, &out_chunks, 1, &[])
-        } else {
-            out_chunks
+        let (output, out_chunks) = Vector::alloc_device(ctx, len, dist)?;
+        let launches = match scan {
+            None => elementwise_launches(&in_chunks, &out_chunks, 1, extras),
+            Some(p) => out_chunks
                 .iter()
                 .enumerate()
                 .map(|(j, oc)| {
@@ -668,10 +711,10 @@ impl Lowering {
                         units: n,
                     }
                 })
-                .collect()
+                .collect(),
         };
         self.events
-            .extend(run_launches(&p.ctx, &program, "skelcl_fused", launches)?);
+            .extend(run_launches(ctx, program, kernel, launches)?);
         output.mark_device_written();
         Ok(output)
     }
@@ -687,8 +730,7 @@ impl Lowering {
         arg: &Arc<PlanNode>,
     ) -> Result<Arc<PlanNode>> {
         let a = self.collapse_arg(arg, false)?;
-        let mut fuse =
-            self.cfg.stencil && !self.cfg.staged && matches!(a.as_ref(), PlanNode::Apply { .. });
+        let mut fuse = self.cfg.stencil && matches!(a.as_ref(), PlanNode::Apply { .. });
         if fuse && self.cfg.cost_model {
             let p = FusedPlan::build(&a)?;
             fuse = should_fuse_stencil(ctx, p.stages, spec.d, p.len);
@@ -711,8 +753,9 @@ impl Lowering {
         }
     }
 
-    /// The staged stencil: replicates `MapOverlapVec::call_with` on a
-    /// materialised input using the skeleton's pre-built program.
+    /// The staged stencil: the skeleton's own program over a materialised
+    /// input — what an eager `MapOverlapVec::call_with` runs. Extras are
+    /// kernel arguments.
     fn stencil_standalone<O: KernelScalar>(
         &mut self,
         ctx: &Context,
@@ -722,94 +765,15 @@ impl Lowering {
         let _span = ctx
             .profiler()
             .host_span(skelcl_profile::SpanKind::Skeleton, "plan.stage");
-        let (in_dist, out_dist) = stencil_distributions(
-            input.input_distribution(Distribution::Overlap { size: spec.d }),
-            spec.d,
-        );
-        let bytes_per_unit = spec.in_scalar.size_bytes() + O::SCALAR.size_bytes();
-        if let Some(sched) = crate::stream::plan_stream(
+        let extras: Vec<KernelArg> = spec.extras.iter().map(|v| KernelArg::Scalar(*v)).collect();
+        self.launch_stencil::<O>(
             ctx,
-            input.input_len(),
-            out_dist,
-            bytes_per_unit,
-            &|_| 0,
             spec.d,
-        ) {
-            // Each chunk stages `range ± d` (clamped), so the kernel's
-            // boundary handling fires only at the true container edges —
-            // exactly as on a whole `Overlap` chunk.
-            let sources: [&dyn ElementwiseInput; 1] = [input];
-            let extras: Vec<KernelArg> =
-                spec.extras.iter().map(|v| KernelArg::Scalar(*v)).collect();
-            let bytes = crate::stream::stream_map_like(
-                ctx,
-                &sched,
-                spec.d,
-                input.input_len(),
-                &sources,
-                O::SCALAR.size_bytes(),
-                &spec.standalone,
-                "skelcl_mapoverlap_vec",
-                &|chunk, ins, out| {
-                    let mut args = vec![
-                        KernelArg::Buffer(ins[0].clone()),
-                        KernelArg::Buffer(out.clone()),
-                        KernelArg::Scalar(Value::I32(chunk.staged.len() as i32)),
-                        KernelArg::Scalar(Value::I32(chunk.range.len() as i32)),
-                        KernelArg::Scalar(Value::I32(
-                            (chunk.range.start - chunk.staged.start) as i32,
-                        )),
-                    ];
-                    args.extend(extras.iter().cloned());
-                    (args, NdRange::linear(chunk.range.len(), WG))
-                },
-                &mut self.events,
-            )?;
-            let output = Vector::<O>::from_vec(ctx, crate::types::from_bytes(&bytes));
-            self.intermediate_bytes += (output.len() * O::SCALAR.size_bytes()) as u64;
-            return Ok(Arc::new(PlanNode::Source {
-                ctx: ctx.clone(),
-                input: Box::new(output),
-                fresh: true,
-            }));
-        }
-        let in_chunks = input.input_chunks(in_dist)?;
-        let (output, out_chunks) = Vector::<O>::alloc_device(ctx, input.input_len(), out_dist)?;
-        let launches = in_chunks
-            .iter()
-            .zip(&out_chunks)
-            .map(|(ic, oc)| {
-                let out_n = oc.plan.core_len();
-                let mut args = vec![
-                    KernelArg::Buffer(ic.buffer.clone()),
-                    KernelArg::Buffer(oc.buffer.clone()),
-                    KernelArg::Scalar(Value::I32(ic.plan.stored_len() as i32)),
-                    KernelArg::Scalar(Value::I32(out_n as i32)),
-                    KernelArg::Scalar(Value::I32(ic.plan.core_offset() as i32)),
-                ];
-                args.extend(spec.extras.iter().map(|v| KernelArg::Scalar(*v)));
-                DeviceLaunch {
-                    device: ic.plan.device,
-                    args,
-                    range: NdRange::linear(out_n, WG),
-                    units: ic.plan.core_len(),
-                }
-            })
-            .collect();
-        self.events.extend(run_launches(
-            ctx,
+            &[input],
             &spec.standalone,
             "skelcl_mapoverlap_vec",
-            launches,
-        )?);
-        output.mark_device_written();
-        self.intermediate_bytes += (output.len() * O::SCALAR.size_bytes()) as u64;
-        let node = PlanNode::Source {
-            ctx: ctx.clone(),
-            input: Box::new(output),
-            fresh: true,
-        };
-        Ok(Arc::new(node))
+            &extras,
+        )
     }
 
     /// The fused stencil: the producer chain becomes a
@@ -884,24 +848,46 @@ impl Lowering {
             expr = p.load_expr,
         );
         let program = compile_cached(ctx, "skelcl_mapoverlap_fused.cl", &source)?;
+        self.launch_stencil::<O>(ctx, d, &p.sources, &program, "skelcl_mapoverlap_fused", &[])
+    }
+
+    /// Runs a stencil kernel of halo `d` over `sources` into a fresh
+    /// intermediate vector. The kernel's arguments are `in0, …, out, in_n,
+    /// out_n, off, extras…`. Under budget pressure each chunk stages
+    /// `range ± d` (clamped), so the kernel's boundary handling fires only
+    /// at the true container edges — exactly as on a whole `Overlap`
+    /// chunk; otherwise one launch runs per device chunk.
+    fn launch_stencil<O: KernelScalar>(
+        &mut self,
+        ctx: &Context,
+        d: usize,
+        sources: &[&dyn ElementwiseInput],
+        program: &Program,
+        kernel: &str,
+        extras: &[KernelArg],
+    ) -> Result<Arc<PlanNode>> {
+        let len = sources[0].input_len();
         let (in_dist, out_dist) = stencil_distributions(
-            p.sources[0].input_distribution(Distribution::Overlap { size: d }),
+            sources[0].input_distribution(Distribution::Overlap { size: d }),
             d,
         );
-        let bytes_per_unit: usize =
-            p.input_types.iter().map(|t| t.size_bytes()).sum::<usize>() + O::SCALAR.size_bytes();
-        if let Some(sched) =
-            crate::stream::plan_stream(ctx, p.len, out_dist, bytes_per_unit, &|_| 0, d)
+        let bytes_per_unit: usize = sources
+            .iter()
+            .map(|s| s.input_scalar().size_bytes())
+            .sum::<usize>()
+            + O::SCALAR.size_bytes();
+        let output = if let Some(sched) =
+            crate::stream::plan_stream(ctx, len, out_dist, bytes_per_unit, &|_| 0, d)
         {
             let bytes = crate::stream::stream_map_like(
                 ctx,
                 &sched,
                 d,
-                p.len,
-                &p.sources,
+                len,
+                sources,
                 O::SCALAR.size_bytes(),
-                &program,
-                "skelcl_mapoverlap_fused",
+                program,
+                kernel,
                 &|chunk, ins, out| {
                     let mut args: Vec<KernelArg> =
                         ins.iter().map(|b| KernelArg::Buffer(b.clone())).collect();
@@ -911,56 +897,49 @@ impl Lowering {
                     args.push(KernelArg::Scalar(Value::I32(
                         (chunk.range.start - chunk.staged.start) as i32,
                     )));
+                    args.extend(extras.iter().cloned());
                     (args, NdRange::linear(chunk.range.len(), WG))
                 },
                 &mut self.events,
             )?;
-            let output = Vector::<O>::from_vec(ctx, crate::types::from_bytes(&bytes));
-            self.intermediate_bytes += (output.len() * O::SCALAR.size_bytes()) as u64;
-            return Ok(Arc::new(PlanNode::Source {
-                ctx: ctx.clone(),
-                input: Box::new(output),
-                fresh: true,
-            }));
-        }
-        let in_chunks = materialize(&p.sources, in_dist)?;
-        let (output, out_chunks) = Vector::<O>::alloc_device(ctx, p.len, out_dist)?;
-        let launches = out_chunks
-            .iter()
-            .enumerate()
-            .map(|(j, oc)| {
-                let ic_plan = &in_chunks[0][j].plan;
-                let out_n = oc.plan.core_len();
-                let mut args: Vec<KernelArg> = in_chunks
-                    .iter()
-                    .map(|chunks| KernelArg::Buffer(chunks[j].buffer.clone()))
-                    .collect();
-                args.push(KernelArg::Buffer(oc.buffer.clone()));
-                args.push(KernelArg::Scalar(Value::I32(ic_plan.stored_len() as i32)));
-                args.push(KernelArg::Scalar(Value::I32(out_n as i32)));
-                args.push(KernelArg::Scalar(Value::I32(ic_plan.core_offset() as i32)));
-                DeviceLaunch {
-                    device: ic_plan.device,
-                    args,
-                    range: NdRange::linear(out_n, WG),
-                    units: ic_plan.core_len(),
-                }
-            })
-            .collect();
-        self.events.extend(run_launches(
-            ctx,
-            &program,
-            "skelcl_mapoverlap_fused",
-            launches,
-        )?);
-        output.mark_device_written();
+            Vector::<O>::from_vec(ctx, crate::types::from_bytes(&bytes))
+        } else {
+            let in_chunks = materialize(sources, in_dist)?;
+            let (output, out_chunks) = Vector::<O>::alloc_device(ctx, len, out_dist)?;
+            let launches = out_chunks
+                .iter()
+                .enumerate()
+                .map(|(j, oc)| {
+                    let ic_plan = &in_chunks[0][j].plan;
+                    let out_n = oc.plan.core_len();
+                    let mut args: Vec<KernelArg> = in_chunks
+                        .iter()
+                        .map(|chunks| KernelArg::Buffer(chunks[j].buffer.clone()))
+                        .collect();
+                    args.push(KernelArg::Buffer(oc.buffer.clone()));
+                    args.push(KernelArg::Scalar(Value::I32(ic_plan.stored_len() as i32)));
+                    args.push(KernelArg::Scalar(Value::I32(out_n as i32)));
+                    args.push(KernelArg::Scalar(Value::I32(ic_plan.core_offset() as i32)));
+                    args.extend(extras.iter().cloned());
+                    DeviceLaunch {
+                        device: ic_plan.device,
+                        args,
+                        range: NdRange::linear(out_n, WG),
+                        units: ic_plan.core_len(),
+                    }
+                })
+                .collect();
+            self.events
+                .extend(run_launches(ctx, program, kernel, launches)?);
+            output.mark_device_written();
+            output
+        };
         self.intermediate_bytes += (output.len() * O::SCALAR.size_bytes()) as u64;
-        let node = PlanNode::Source {
+        Ok(Arc::new(PlanNode::Source {
             ctx: ctx.clone(),
             input: Box::new(output),
             fresh: true,
-        };
-        Ok(Arc::new(node))
+        }))
     }
 
     /// Publishes the pass's telemetry: `plan.rules_fired`,
@@ -977,7 +956,9 @@ impl Lowering {
         if self.nodes_fused > 0 {
             profiler.add(m::PLAN_NODES_FUSED, self.nodes_fused);
         }
-        profiler.add(m::PLAN_INTERMEDIATE_BYTES, self.intermediate_bytes);
+        if self.intermediate_bytes > 0 {
+            profiler.add(m::PLAN_INTERMEDIATE_BYTES, self.intermediate_bytes);
+        }
     }
 
     fn attach(&self, span: &mut skelcl_profile::SpanGuard) {
@@ -991,13 +972,31 @@ impl Lowering {
         );
         span.attach(
             "plan.decision",
-            if self.cfg.staged { "staged" } else { "fused" },
+            if self.cfg.is_staged() {
+                "staged"
+            } else {
+                "fused"
+            },
         );
     }
 }
 
-/// Lowers a plan DAG rooted in an elementwise/scan term to a vector —
-/// [`crate::Expr::eval`]'s engine.
+/// The one-node rule's precondition: the container behind every argument
+/// when all of them are `Source` leaves — one per argument, not
+/// deduplicated, so `zip(v, v)` passes `v` twice.
+fn source_args(args: &[Arc<PlanNode>]) -> Option<Vec<&dyn ElementwiseInput>> {
+    args.iter()
+        .map(|a| match a.as_ref() {
+            PlanNode::Source { input, .. } => Some(input.as_ref()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Lowers a plan DAG rooted in an elementwise/scan/stencil term to a
+/// vector — the engine of [`crate::Expr::eval`] and of every eager 1-D
+/// `Map`/`Zip`/`MapOverlapVec` call. The caller holds the skeleton span;
+/// the lowering's events are recorded into `log` when given.
 pub(crate) fn eval_vector<O: KernelScalar>(
     node: &Arc<PlanNode>,
     log: Option<&EventLog>,
@@ -1026,10 +1025,7 @@ pub(crate) fn eval_vector<O: KernelScalar>(
                 .saturating_sub((v.len() * O::SCALAR.size_bytes()) as u64);
             v
         }
-        _ => {
-            let p = FusedPlan::build(&collapsed)?;
-            lo.run_region_typed::<O>(&p, true)?
-        }
+        _ => lo.run_region_typed::<O>(&collapsed, true)?,
     };
     lo.attach(&mut span);
     if let Some(log) = log {
@@ -1039,43 +1035,44 @@ pub(crate) fn eval_vector<O: KernelScalar>(
     Ok(result)
 }
 
-/// What [`crate::Reduce::call_fused`] should reduce after lowering.
-pub(crate) enum ReduceInput {
-    /// The collapsed tree welds into the reduction's load prologue
-    /// (`Source`, `Apply` over sources/scan leaves, or a bare scan leaf).
-    Welded(Arc<PlanNode>),
-    /// Everything was staged; reduce the materialised `Source` plainly.
-    Staged(Arc<PlanNode>),
-}
-
-/// Lowers a reduction's input DAG, applying every enabled rule except the
-/// final weld, which the caller performs. Returns the lowering's events
-/// for the caller to merge into its event log.
-pub(crate) fn prepare_reduce(node: &Arc<PlanNode>) -> Result<(ReduceInput, Vec<Event>)> {
+/// Lowers a reduction's input DAG — the engine of [`crate::Reduce::call`]
+/// and [`crate::Reduce::call_fused`] — applying every enabled rule except
+/// the final weld, which the caller performs. The raw tree is validated
+/// against the reducing skeleton's context `ctx` before anything launches.
+/// Returns the collapsed input (a `Source` to reduce plainly, or an
+/// `Apply`/`ScanOffset` region to weld into the first pass) and the
+/// lowering's events for the caller to merge into its event log.
+pub(crate) fn prepare_reduce(
+    node: &Arc<PlanNode>,
+    ctx: &Context,
+) -> Result<(Arc<PlanNode>, Vec<Event>)> {
+    let p = FusedPlan::build(node)?;
+    if !p.ctx.same_as(ctx) {
+        return Err(Error::ShapeMismatch {
+            reason: "reduced expression belongs to a different context than this Reduce".into(),
+        });
+    }
+    if p.len == 0 {
+        return Err(Error::EmptyContainer {
+            operation: "Reduce",
+        });
+    }
     let cfg = PlanConfig::from_env();
     let mut lo = Lowering::new(cfg);
-    let ctx = node.ctx().clone();
     let mut span = ctx
         .profiler()
         .host_span(skelcl_profile::SpanKind::Skeleton, "plan.lower");
     let collapsed = lo.collapse_arg(node, true)?;
-    let input = if cfg.staged || !cfg.weld {
-        let collapsed = match collapsed.as_ref() {
-            PlanNode::Source { .. } => collapsed,
-            _ => lo.run_region_erased(&collapsed)?,
-        };
-        ReduceInput::Staged(collapsed)
-    } else {
-        if matches!(
-            collapsed.as_ref(),
-            PlanNode::Apply { .. } | PlanNode::ScanOffset { .. }
-        ) {
+    let collapsed = match collapsed.as_ref() {
+        PlanNode::Source { .. } => collapsed,
+        _ if cfg.weld => {
             lo.fire("reduce-weld");
             lo.nodes_fused += 1;
+            collapsed
         }
-        ReduceInput::Welded(collapsed)
+        _ => lo.run_region_erased(&collapsed)?,
     };
     lo.attach(&mut span);
-    lo.publish(&ctx);
-    Ok((input, lo.events))
+    lo.publish(ctx);
+    Ok((collapsed, lo.events))
 }

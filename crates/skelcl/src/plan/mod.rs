@@ -1,11 +1,16 @@
-//! The logical plan layer: every lazy skeleton pipeline is a term.
+//! The logical plan layer: every 1-D skeleton call, lazy or eager, is a
+//! term.
 //!
 //! [`crate::Map::lazy`], [`crate::Zip::lazy`], [`crate::MapOverlapVec::lazy`]
 //! and [`crate::Scan::lazy`] build a [`PlanNode`] DAG instead of executing
 //! eagerly; [`crate::Expr::eval`] and [`crate::Reduce::call_fused`] lower
-//! that DAG to device launches through this module. Lowering applies
-//! semantics-preserving **rewrite rules** (in the spirit of
-//! Steuwer/Fensch/Dubach's pattern rewrite rules):
+//! that DAG to device launches through this module. The eager 1-D calls
+//! (`Map`/`Zip`/`MapOverlapVec::call_with`, `Reduce::call`) build the same
+//! node their `lazy` form builds and lower it here too — a one-node plan on
+//! which no rule fires, so it launches the skeleton's own kernel (the
+//! empty derivation); `Scan::call` finishes with [`apply_offsets`].
+//! Lowering applies semantics-preserving **rewrite rules** (in the spirit
+//! of Steuwer/Fensch/Dubach's pattern rewrite rules):
 //!
 //! | rule          | rewrite                                                    |
 //! |---------------|------------------------------------------------------------|
@@ -24,8 +29,9 @@
 //! The whole layer is gated by `SKELCL_PLAN`:
 //!
 //! * unset / `1` / `on` — all rules plus the cost model (the default);
-//! * `0` / `off` — fully staged oracle: one kernel per stage, standalone
-//!   stencil and scan-offset passes, plain (unwelded) reductions;
+//! * `0` / `off` — no rule: the fully staged oracle, one skeleton kernel
+//!   per stage (`skelcl_map`, `skelcl_zip`, `skelcl_mapoverlap_vec`),
+//!   standalone scan-offset passes, plain (unwelded) reductions;
 //! * a comma list of rule names (e.g. `chain,reduce-weld`) — exactly those
 //!   rules, cost model off (unknown names are ignored).
 
@@ -34,13 +40,12 @@ pub(crate) mod ir;
 pub(crate) mod lower;
 
 pub(crate) use ir::{PlanNode, ScanOffsetState, StencilSpec};
-pub(crate) use lower::{eval_vector, prepare_reduce, FusedPlan, ReduceInput};
+pub(crate) use lower::{apply_offsets, eval_vector, prepare_reduce, FusedPlan};
 
 /// Which rewrite rules a lowering may apply (parsed from `SKELCL_PLAN`).
+/// With no rule enabled the lowering is the fully staged oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanConfig {
-    /// Fully staged oracle: no rule fires, every stage materialises.
-    pub staged: bool,
     /// Elementwise chain fusion (subsumes PR 4's `Expr` DAG fusion).
     pub chain: bool,
     /// Elementwise-into-reduce welding (subsumes `call_fused`).
@@ -57,7 +62,6 @@ impl PlanConfig {
     /// All rules on, cost model on — the default.
     pub fn all() -> Self {
         PlanConfig {
-            staged: false,
             chain: true,
             weld: true,
             stencil: true,
@@ -66,10 +70,9 @@ impl PlanConfig {
         }
     }
 
-    /// The fully staged oracle (`SKELCL_PLAN=0`).
+    /// The fully staged oracle (`SKELCL_PLAN=0`): no rule enabled.
     pub fn oracle() -> Self {
         PlanConfig {
-            staged: true,
             chain: false,
             weld: false,
             stencil: false,
@@ -87,14 +90,7 @@ impl PlanConfig {
             "" | "1" | "on" => Self::all(),
             "0" | "off" => Self::oracle(),
             list => {
-                let mut cfg = PlanConfig {
-                    staged: false,
-                    chain: false,
-                    weld: false,
-                    stencil: false,
-                    scan_offset: false,
-                    cost_model: false,
-                };
+                let mut cfg = Self::oracle();
                 for rule in list.split(',') {
                     match rule.trim() {
                         "chain" => cfg.chain = true,
@@ -107,6 +103,12 @@ impl PlanConfig {
                 cfg
             }
         }
+    }
+
+    /// Whether every rule is off, so each stage materialises (the
+    /// `plan.decision` label `staged`).
+    pub(crate) fn is_staged(&self) -> bool {
+        !(self.chain || self.weld || self.stencil || self.scan_offset)
     }
 
     /// Reads `SKELCL_PLAN` from the environment.
@@ -130,7 +132,9 @@ mod tests {
 
         let c = PlanConfig::parse(Some("chain,scan-offset"));
         assert!(c.chain && c.scan_offset);
-        assert!(!c.weld && !c.stencil && !c.staged && !c.cost_model);
+        assert!(!c.weld && !c.stencil && !c.cost_model && !c.is_staged());
+        assert!(PlanConfig::oracle().is_staged() && !PlanConfig::all().is_staged());
+        assert!(PlanConfig::parse(Some("bogus")).is_staged());
 
         // Unknown names are ignored, known ones still apply.
         let c = PlanConfig::parse(Some("bogus,reduce-weld"));

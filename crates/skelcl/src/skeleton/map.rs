@@ -14,10 +14,9 @@ use crate::container::{Matrix, Vector};
 use crate::context::Context;
 use crate::distribution::Distribution;
 use crate::error::Result;
-use crate::exec::{
-    elementwise_matrix, elementwise_vector, DeviceLaunch, ElementwiseInput, Skeleton, SkeletonCore,
-};
+use crate::exec::{elementwise_matrix, DeviceLaunch, ElementwiseInput, Skeleton, SkeletonCore};
 use crate::expr::Expr;
+use crate::plan::eval_vector;
 use crate::skeleton::EventLog;
 use crate::types::KernelScalar;
 
@@ -92,7 +91,10 @@ impl<I: KernelScalar, O: KernelScalar> Map<I, O> {
         );
         let program = compile_cached(ctx, "skelcl_map.cl", &kernel_source)?;
         Ok(Map {
-            stage: stage_spec(&f, O::SCALAR),
+            stage: StageSpec {
+                standalone: Some((program.clone(), "skelcl_map")),
+                ..stage_spec(&f, O::SCALAR)
+            },
             core: SkeletonCore::new(ctx, "Map", program, extras),
             has_index_kernel,
             _types: PhantomData,
@@ -109,7 +111,9 @@ impl<I: KernelScalar, O: KernelScalar> Map<I, O> {
     }
 
     /// Applies the skeleton with extra scalar arguments (in the order of
-    /// the customizing function's extra parameters).
+    /// the customizing function's extra parameters). Runs as the one-node
+    /// plan [`Map::lazy_with`] builds, launching the skeleton's own kernel
+    /// with the extras as kernel arguments.
     ///
     /// # Errors
     ///
@@ -117,13 +121,8 @@ impl<I: KernelScalar, O: KernelScalar> Map<I, O> {
     /// [`Map::call`] can raise.
     pub fn call_with(&self, input: &Vector<I>, extra: &[Value]) -> Result<Vector<O>> {
         let _span = self.core.begin("Map.call");
-        self.core.check_extras(extra)?;
-        elementwise_vector(
-            &self.core,
-            "skelcl_map",
-            &[input as &dyn ElementwiseInput],
-            extra,
-        )
+        let e = self.lazy_with(&input.expr(), extra)?;
+        eval_vector(e.node(), Some(&self.core.events))
     }
 
     /// Applies the skeleton elementwise to a matrix.
@@ -211,8 +210,8 @@ impl<I: KernelScalar, O: KernelScalar> Map<I, O> {
     }
 
     /// [`Map::lazy`] with extra scalar arguments, bound into the stage at
-    /// composition time (they are inlined as literals in the fused
-    /// kernel).
+    /// composition time. A stage that runs alone passes them as kernel
+    /// arguments; inside a fused chain they are inlined as literals.
     ///
     /// # Errors
     ///

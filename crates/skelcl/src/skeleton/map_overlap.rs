@@ -25,7 +25,7 @@ use crate::distribution::Distribution;
 use crate::error::{Error, Result};
 use crate::exec::{stencil_distributions, DeviceLaunch, Skeleton, SkeletonCore};
 use crate::expr::Expr;
-use crate::plan::{PlanNode, StencilSpec};
+use crate::plan::{eval_vector, PlanNode, StencilSpec};
 use crate::skeleton::EventLog;
 use crate::types::KernelScalar;
 
@@ -305,7 +305,6 @@ impl<I: KernelScalar, O: KernelScalar> Skeleton for MapOverlap<I, O> {
 #[derive(Debug)]
 pub struct MapOverlapVec<I: KernelScalar, O: KernelScalar> {
     core: SkeletonCore,
-    d: usize,
     spec: StencilSpec,
     _types: PhantomData<fn(I) -> O>,
 }
@@ -386,7 +385,6 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlapVec<I, O> {
         };
         Ok(MapOverlapVec {
             core: SkeletonCore::new(ctx, "MapOverlapVec", program, extras),
-            d,
             spec,
             _types: PhantomData,
         })
@@ -401,45 +399,17 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlapVec<I, O> {
         self.call_with(input, &[])
     }
 
-    /// [`MapOverlapVec::call`] with extra scalar arguments.
+    /// [`MapOverlapVec::call`] with extra scalar arguments. Runs as the
+    /// one-node plan [`MapOverlapVec::lazy_with`] builds: the staged
+    /// stencil lowering launches the skeleton's own kernel.
     ///
     /// # Errors
     ///
     /// As for [`MapOverlap::call_with`].
     pub fn call_with(&self, input: &Vector<I>, extra: &[Value]) -> Result<Vector<O>> {
         let _span = self.core.begin("MapOverlapVec.call");
-        self.core.check_extras(extra)?;
-        let (in_dist, out_dist) = stencil_distributions(
-            input.effective_distribution(Distribution::Overlap { size: self.d }),
-            self.d,
-        );
-        let in_chunks = input.ensure_device(in_dist)?;
-        let (output, out_chunks) = Vector::alloc_device(&self.core.ctx, input.len(), out_dist)?;
-
-        let launches = in_chunks
-            .iter()
-            .zip(&out_chunks)
-            .map(|(ic, oc)| {
-                let out_n = oc.plan.core_len();
-                let mut args = vec![
-                    KernelArg::Buffer(ic.buffer.clone()),
-                    KernelArg::Buffer(oc.buffer.clone()),
-                    KernelArg::Scalar(Value::I32(ic.plan.stored_len() as i32)),
-                    KernelArg::Scalar(Value::I32(out_n as i32)),
-                    KernelArg::Scalar(Value::I32(ic.plan.core_offset() as i32)),
-                ];
-                args.extend(extra.iter().map(|v| KernelArg::Scalar(*v)));
-                DeviceLaunch {
-                    device: ic.plan.device,
-                    args,
-                    range: NdRange::linear(out_n, WG),
-                    units: ic.plan.core_len(),
-                }
-            })
-            .collect();
-        self.core.run("skelcl_mapoverlap_vec", launches)?;
-        output.mark_device_written();
-        Ok(output)
+        let e = self.lazy_with(&input.expr(), extra)?;
+        eval_vector(e.node(), Some(&self.core.events))
     }
 
     /// Defers the stencil into an [`Expr`] node instead of executing it.
@@ -456,7 +426,9 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlapVec<I, O> {
         self.lazy_with(input, &[])
     }
 
-    /// [`MapOverlapVec::lazy`] with extra scalar arguments bound now.
+    /// [`MapOverlapVec::lazy`] with extra scalar arguments bound now. The
+    /// skeleton's own kernel takes them as kernel arguments; a stencil
+    /// fused with its producer inlines them as literals.
     ///
     /// # Errors
     ///
@@ -474,7 +446,7 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlapVec<I, O> {
 
     /// The overlap range `d`.
     pub fn overlap(&self) -> usize {
-        self.d
+        self.spec.d
     }
 
     /// Profiling of the most recent call.

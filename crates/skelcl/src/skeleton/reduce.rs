@@ -27,7 +27,7 @@ use crate::engine::{LaunchPlan, NodeId};
 use crate::error::{Error, Result};
 use crate::exec::{materialize, reduction_distribution, Skeleton, SkeletonCore};
 use crate::expr::Expr;
-use crate::plan::{prepare_reduce, FusedPlan, PlanNode, ReduceInput};
+use crate::plan::{prepare_reduce, FusedPlan, PlanNode};
 use crate::skeleton::EventLog;
 use crate::types::KernelScalar;
 
@@ -147,29 +147,16 @@ impl<T: KernelScalar> Reduce<T> {
         })
     }
 
-    /// Reduces a vector to a scalar.
+    /// Reduces a vector to a scalar: the one-node plan over `input`,
+    /// through the same entry as [`Reduce::call_fused`] (a bare vector
+    /// runs the plain `skelcl_reduce` chain).
     ///
     /// # Errors
     ///
     /// Fails with [`Error::EmptyContainer`] on empty input, plus any
     /// platform failure.
     pub fn call(&self, input: &Vector<T>) -> Result<Scalar<T>> {
-        let _span = self.core.begin("Reduce.call");
-        if input.is_empty() {
-            return Err(Error::EmptyContainer {
-                operation: "Reduce",
-            });
-        }
-        // Distribute (block by default; copy degrades to a single device —
-        // reducing the same copy on every GPU would be redundant work).
-        let dist = reduction_distribution(input.effective_distribution(Distribution::Block));
-        let chunks = input.ensure_device(dist)?;
-
-        let mut events: Vec<Event> = Vec::new();
-        let values = self.reduce_chunks(&chunks, 1, &mut events)?;
-        let result = self.combine_partials(&values, chunks[0].plan.device, &mut events)?;
-        self.core.events.record(events);
-        Ok(Scalar::new(result, self.core.events.last_kernel_time()))
+        self.reduce_expr(&input.expr(), "Reduce.call")
     }
 
     /// Reduces a matrix (all elements, row-major order of combination per
@@ -228,49 +215,52 @@ impl<T: KernelScalar> Reduce<T> {
     /// [`Error::ShapeMismatch`] when the expression lives on a different
     /// context or is malformed, plus any platform failure.
     pub fn call_fused(&self, expr: &Expr<T>) -> Result<Scalar<T>> {
-        let _span = self.core.begin("Reduce.call_fused");
-        let node = expr.node().clone();
-        // Validate the raw tree before lowering launches anything.
-        {
-            let p = FusedPlan::build(&node)?;
-            if !p.ctx.same_as(&self.core.ctx) {
-                return Err(Error::ShapeMismatch {
-                    reason: "fused expression belongs to a different context than this Reduce"
-                        .into(),
-                });
-            }
-            if p.len == 0 {
-                return Err(Error::EmptyContainer {
-                    operation: "Reduce",
-                });
-            }
-        }
+        self.reduce_expr(expr, "Reduce.call_fused")
+    }
 
-        // Lower the input DAG (stencils always execute here; staging
-        // depends on SKELCL_PLAN), then weld or plainly reduce the rest.
-        let (input, pre_events) = prepare_reduce(&node)?;
-        let mut events = pre_events;
-        let result = match &input {
-            ReduceInput::Staged(collapsed) => {
-                let PlanNode::Source { input, .. } = collapsed.as_ref() else {
-                    unreachable!("staged lowering returns a Source");
-                };
-                let dist = reduction_distribution(input.input_distribution(Distribution::Block));
-                let chunks = input.input_chunks(dist)?;
-                let values = self.reduce_chunks(&chunks, 1, &mut events)?;
-                self.combine_partials(&values, chunks[0].plan.device, &mut events)?
-            }
-            ReduceInput::Welded(collapsed) => self.reduce_welded(collapsed, &mut events)?,
-        };
+    /// The one reduction entry behind [`Reduce::call`] (a one-node plan
+    /// over the vector) and [`Reduce::call_fused`]: lowers the input DAG
+    /// (stencils always execute here; staging depends on `SKELCL_PLAN`),
+    /// then reduces the collapsed region.
+    fn reduce_expr(&self, expr: &Expr<T>, label: &'static str) -> Result<Scalar<T>> {
+        let _span = self.core.begin(label);
+        let (collapsed, mut events) = prepare_reduce(expr.node(), &self.core.ctx)?;
+        let result = self.reduce_region(&collapsed, &mut events)?;
         self.core.events.record(events);
         Ok(Scalar::new(result, self.core.events.last_kernel_time()))
     }
 
-    /// Welds a collapsed elementwise/scan region into the reduction's
-    /// first pass: stage units + reduce operator + fused-load prologue +
-    /// a tree reduction that loads through the prologue.
-    fn reduce_welded(&self, collapsed: &PlanNode, events: &mut Vec<Event>) -> Result<T> {
+    /// Reduces a collapsed region: streamed when the working set exceeds
+    /// the device budget; else a bare `Source` runs the plain
+    /// `skelcl_reduce` chain, and an elementwise/scan region welds into
+    /// the first pass (stage units + reduce operator + fused-load
+    /// prologue + a tree reduction that loads through the prologue).
+    fn reduce_region(&self, collapsed: &PlanNode, events: &mut Vec<Event>) -> Result<T> {
         let p = FusedPlan::build(collapsed)?;
+        let dist = reduction_distribution(p.sources[0].input_distribution(Distribution::Block));
+        let bytes_per_unit: usize = p.input_types.iter().map(|t| t.size_bytes()).sum();
+        if let Some(sched) = crate::stream::plan_stream(
+            &self.core.ctx,
+            p.len,
+            dist,
+            bytes_per_unit,
+            &|n| {
+                // Resident outside the staging ring: the grid-sized lane
+                // accumulator, the per-group partials buffer, and the
+                // partial chain's intermediates (bounded by another
+                // `groups` elements — pass outputs shrink geometrically).
+                let groups = n.div_ceil(WG).min(MAX_GROUPS);
+                (groups * WG + 2 * groups) * std::mem::size_of::<T>()
+            },
+            0,
+        ) {
+            return self.reduce_streamed(&p, &sched, events);
+        }
+        if let PlanNode::Source { input, .. } = collapsed {
+            let chunks = input.input_chunks(dist)?;
+            let values = self.reduce_chunks(&chunks, 1, events)?;
+            return self.combine_partials(&values, chunks[0].plan.device, events);
+        }
         let in_params = p.input_params();
         let in_args = p.input_args();
         let source = format!(
@@ -292,26 +282,6 @@ impl<T: KernelScalar> Reduce<T> {
             ),
         );
         let fused_program = compile_cached(&self.core.ctx, "skelcl_reduce_fused.cl", &source)?;
-
-        let dist = reduction_distribution(p.sources[0].input_distribution(Distribution::Block));
-        let bytes_per_unit: usize = p.input_types.iter().map(|t| t.size_bytes()).sum();
-        if let Some(sched) = crate::stream::plan_stream(
-            &self.core.ctx,
-            p.len,
-            dist,
-            bytes_per_unit,
-            &|n| {
-                // Resident outside the staging ring: the grid-sized lane
-                // accumulator, the per-group partials buffer, and the
-                // partial chain's intermediates (bounded by another
-                // `groups` elements — pass outputs shrink geometrically).
-                let groups = n.div_ceil(WG).min(MAX_GROUPS);
-                (groups * WG + 2 * groups) * std::mem::size_of::<T>()
-            },
-            0,
-        ) {
-            return self.reduce_streamed(&p, &sched, events);
-        }
         let chunk_sets = materialize(&p.sources, dist)?;
         if !p.scan_leaves.is_empty() {
             p.prepare_scan(&chunk_sets, events)?;

@@ -24,7 +24,7 @@ use crate::engine::{LaunchPlan, NodeId};
 use crate::error::{Error, Result};
 use crate::exec::{reduction_distribution, Skeleton, SkeletonCore};
 use crate::expr::Expr;
-use crate::plan::{PlanNode, ScanOffsetState};
+use crate::plan::{apply_offsets, PlanNode, ScanOffsetState};
 use crate::skeleton::EventLog;
 use crate::types::{from_bytes, to_bytes, KernelScalar};
 
@@ -140,33 +140,13 @@ impl<T: KernelScalar> Scan<T> {
             return Ok(Vector::from_vec(&self.core.ctx, Vec::new()));
         }
         let mut p1 = self.run_phase1(input)?;
-
-        // Phase 2b: one offset kernel per remaining chunk.
-        if !p1.prefixes.is_empty() {
-            let mut plan = LaunchPlan::new();
-            for (i, oc) in p1.out_chunks.iter().enumerate().skip(1) {
-                let n = oc.plan.core_len();
-                plan.kernel(
-                    oc.plan.device,
-                    &self.core.program,
-                    "skelcl_scan_offset",
-                    vec![
-                        KernelArg::Buffer(oc.buffer.clone()),
-                        KernelArg::Scalar(p1.prefixes[i - 1].to_value()),
-                        KernelArg::Scalar(Value::I32(n as i32)),
-                    ],
-                    NdRange::linear(n, WG),
-                    0,
-                    &[],
-                );
-            }
-            let run = plan.execute(&self.core.ctx)?;
-            run.wait()?;
-            p1.events.extend(run.into_events());
-        }
-
-        self.core.events.record(p1.events);
         p1.output.mark_device_written();
+        // Phase 2b: the plan layer's offset pass — on the chunks phase 1
+        // wrote, one `skelcl_scan_offset` launch per non-first chunk.
+        if let Some(state) = self.pending_offsets(&p1) {
+            apply_offsets(&state, &self.core.ctx, &mut p1.events, Some(&p1.out_chunks))?;
+        }
+        self.core.events.record(p1.events);
         Ok(p1.output)
     }
 
@@ -185,12 +165,25 @@ impl<T: KernelScalar> Scan<T> {
             return Ok(Expr::from(&Vector::from_vec(&self.core.ctx, Vec::new())));
         }
         let p1 = self.run_phase1(input)?;
-        self.core.events.record(p1.events);
         p1.output.mark_device_written();
+        let pending = self.pending_offsets(&p1);
+        self.core.events.record(p1.events);
+        Ok(match pending {
+            None => Expr::from(&p1.output),
+            Some(state) => Expr::from_node(Arc::new(PlanNode::ScanOffset {
+                ctx: self.core.ctx.clone(),
+                state: Arc::new(state),
+            })),
+        })
+    }
+
+    /// Phase 2b as pending plan state: the chunk offsets phase 2a
+    /// computed, or `None` on a single chunk (the scan is complete).
+    fn pending_offsets(&self, p1: &ScanPhase1<T>) -> Option<ScanOffsetState> {
         if p1.prefixes.is_empty() {
-            return Ok(Expr::from(&p1.output));
+            return None;
         }
-        let state = ScanOffsetState {
+        Some(ScanOffsetState {
             program: self.core.program.clone(),
             stage: self.stage.clone(),
             scalar: T::SCALAR,
@@ -200,11 +193,7 @@ impl<T: KernelScalar> Scan<T> {
             offsets: p1.prefixes.iter().map(|v| v.to_value()).collect(),
             plans: p1.out_chunks.iter().map(|c| c.plan.clone()).collect(),
             applied: Mutex::new(false),
-        };
-        Ok(Expr::from_node(Arc::new(PlanNode::ScanOffset {
-            ctx: self.core.ctx.clone(),
-            state: Arc::new(state),
-        })))
+        })
     }
 
     /// Phase 1 (per-chunk inclusive scans) plus phase 2a (scan of the

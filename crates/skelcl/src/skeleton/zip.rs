@@ -12,10 +12,9 @@ use crate::codegen::{
 use crate::container::{Matrix, Vector};
 use crate::context::Context;
 use crate::error::{Error, Result};
-use crate::exec::{
-    elementwise_matrix, elementwise_vector, ElementwiseInput, Skeleton, SkeletonCore,
-};
+use crate::exec::{elementwise_matrix, ElementwiseInput, Skeleton, SkeletonCore};
 use crate::expr::Expr;
+use crate::plan::eval_vector;
 use crate::skeleton::EventLog;
 use crate::types::KernelScalar;
 
@@ -65,7 +64,10 @@ impl<L: KernelScalar, R: KernelScalar, O: KernelScalar> Zip<L, R, O> {
         let kernel_source = weld_elementwise("skelcl_zip", &f, &[L::SCALAR, R::SCALAR], O::SCALAR);
         let program = compile_cached(ctx, "skelcl_zip.cl", &kernel_source)?;
         Ok(Zip {
-            stage: stage_spec(&f, O::SCALAR),
+            stage: StageSpec {
+                standalone: Some((program.clone(), "skelcl_zip")),
+                ..stage_spec(&f, O::SCALAR)
+            },
             core: SkeletonCore::new(ctx, "Zip", program, extras),
             _types: PhantomData,
         })
@@ -81,7 +83,9 @@ impl<L: KernelScalar, R: KernelScalar, O: KernelScalar> Zip<L, R, O> {
         self.call_with(lhs, rhs, &[])
     }
 
-    /// [`Zip::call`] with extra scalar arguments.
+    /// [`Zip::call`] with extra scalar arguments. Runs as the one-node plan
+    /// [`Zip::lazy_with`] builds, launching the skeleton's own kernel; the
+    /// right operand follows the left one's distribution.
     ///
     /// # Errors
     ///
@@ -93,24 +97,8 @@ impl<L: KernelScalar, R: KernelScalar, O: KernelScalar> Zip<L, R, O> {
         extra: &[Value],
     ) -> Result<Vector<O>> {
         let _span = self.core.begin("Zip.call");
-        self.core.check_extras(extra)?;
-        if lhs.len() != rhs.len() {
-            return Err(Error::ShapeMismatch {
-                reason: format!(
-                    "zip requires equal lengths, found {} and {}",
-                    lhs.len(),
-                    rhs.len()
-                ),
-            });
-        }
-        // Both operands follow the left operand's effective distribution so
-        // their chunks align (the right one is redistributed implicitly).
-        elementwise_vector(
-            &self.core,
-            "skelcl_zip",
-            &[lhs as &dyn ElementwiseInput, rhs as &dyn ElementwiseInput],
-            extra,
-        )
+        let e = self.lazy_with(&lhs.expr(), &rhs.expr(), extra)?;
+        eval_vector(e.node(), Some(&self.core.events))
     }
 
     /// Applies the skeleton elementwise to two matrices of equal shape.
@@ -170,8 +158,8 @@ impl<L: KernelScalar, R: KernelScalar, O: KernelScalar> Zip<L, R, O> {
     }
 
     /// [`Zip::lazy`] with extra scalar arguments, bound into the stage at
-    /// composition time (they are inlined as literals in the fused
-    /// kernel).
+    /// composition time. A stage that runs alone passes them as kernel
+    /// arguments; inside a fused chain they are inlined as literals.
     ///
     /// # Errors
     ///

@@ -5,7 +5,13 @@
 
 use proptest::prelude::*;
 
-use skelcl::{Context, DeviceSelection, EventLog, Map, Reduce, Value, Vector, Zip};
+use std::time::Duration;
+
+use skelcl::{
+    BoundaryHandling, Context, DeviceSelection, Distribution, EventLog, Map, MapOverlapVec, Reduce,
+    Value, Vector, Zip,
+};
+use skelcl_kernel::vm::CostCounters;
 use vgpu::{CommandKind, DeviceSpec, Platform};
 
 fn ctx(devices: usize) -> Context {
@@ -13,6 +19,50 @@ fn ctx(devices: usize) -> Context {
         Platform::new(devices, DeviceSpec::tesla_t10()),
         DeviceSelection::All,
     )
+}
+
+/// Kernel names in launch order, consecutive repeats collapsed.
+fn kernel_names(log: &EventLog) -> Vec<String> {
+    let mut names: Vec<String> = kernel_work(log).into_iter().map(|l| l.1).collect();
+    names.dedup();
+    names
+}
+
+/// The work one kernel launch did: device, kernel name, cost counters and
+/// simulated duration (which also reflects the launch's ND range).
+type Launch = (usize, String, Option<CostCounters>, Duration);
+
+fn kernel_work(log: &EventLog) -> Vec<Launch> {
+    log.last_events()
+        .iter()
+        .filter_map(|e| match e.kind() {
+            CommandKind::Kernel { name } => {
+                Some((e.device().0, name.clone(), e.counters(), e.duration()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+fn bits(v: &Vector<f32>) -> Vec<u32> {
+    v.to_vec().unwrap().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Asserts an eager call and its lazy form launched the same kernels with
+/// the same counters and produced bit-identical output.
+fn assert_same_work(
+    case: &str,
+    kernel: &str,
+    (eager_log, eager): (&EventLog, &Vector<f32>),
+    (lazy_log, lazy): (&EventLog, &Vector<f32>),
+) {
+    let work = kernel_work(eager_log);
+    assert!(
+        !work.is_empty() && work.iter().all(|l| l.1 == kernel),
+        "{case}: eager call must launch only {kernel}: {work:?}"
+    );
+    assert_eq!(work, kernel_work(lazy_log), "{case}: launches differ");
+    assert_eq!(bits(eager), bits(lazy), "{case}: outputs differ");
 }
 
 fn dot_skeletons(ctx: &Context) -> (Zip<f32, f32, f32>, Reduce<f32>) {
@@ -105,18 +155,19 @@ fn multi_stage_expr_runs_one_kernel_per_device() {
         let out = e.eval_logged(&log).unwrap();
         let launches = log.kernel_launches_by_device();
         assert_eq!(launches.len(), devices, "one chunk per device");
-        // Launch counts depend on the chain rule (`SKELCL_PLAN=0` runs
-        // this staged: one kernel per stage instead of one in total).
+        // Launches depend on the chain rule: `SKELCL_PLAN=0` runs this
+        // staged, one skeleton-own kernel per stage instead of one fused
+        // kernel in total.
+        let names = kernel_names(&log);
         if skelcl::PlanConfig::from_env().chain {
             assert!(
                 launches.values().all(|&n| n == 1),
                 "fusion must launch exactly one kernel per device, got {launches:?}"
             );
+            assert_eq!(names, ["skelcl_fused"]);
+        } else {
+            assert_eq!(names, ["skelcl_map", "skelcl_zip"]);
         }
-        assert!(log.last_events().iter().any(|e| matches!(
-            e.kind(),
-            CommandKind::Kernel { name } if name == "skelcl_fused"
-        )));
 
         let host = out.to_vec().unwrap();
         for (i, v) in host.iter().enumerate() {
@@ -216,4 +267,99 @@ fn fusion_validates_contexts_and_lengths() {
     let short = Vector::from_fn(&ctx1, 7, |i| i as f32);
     let e = add.lazy(&a.expr(), &short.expr()).unwrap();
     assert!(e.eval().is_err(), "length mismatch must fail");
+}
+
+/// An eager 1-D call is the one-node plan its `lazy` form builds: both
+/// launch the skeleton's own kernel with identical per-device launches,
+/// cost counters and simulated durations, and produce bit-identical
+/// output — on 1–4 devices, for `Block`, `Single` and `Copy` inputs.
+#[test]
+fn eager_calls_run_their_one_node_plans() {
+    for devices in 1..=4 {
+        for dist in [
+            Distribution::Block,
+            Distribution::Single(devices - 1),
+            Distribution::Copy,
+        ] {
+            let ctx = ctx(devices);
+            let input = |k: usize| {
+                let v = Vector::from_fn(&ctx, 1000 + 37 * devices, |i| {
+                    ((i * k) % 61) as f32 * 0.375 - 9.0
+                });
+                v.set_distribution(dist).unwrap();
+                v
+            };
+            let (a, b) = (input(7), input(11));
+            let case = |what: &str| format!("{what} on {devices} device(s), {dist:?}");
+            let log = EventLog::default();
+
+            let affine: Map<f32, f32> = Map::new(
+                &ctx,
+                "float affine(float x, float s, float o){ return x * s + o; }",
+            )
+            .unwrap();
+            let extras = [Value::F32(1.5), Value::F32(-0.25)];
+            let eager = affine.call_with(&a, &extras).unwrap();
+            let lazy = affine.lazy_with(&a.expr(), &extras).unwrap();
+            let lazy = lazy.eval_logged(&log).unwrap();
+            assert_same_work(
+                &case("Map with extras"),
+                "skelcl_map",
+                (affine.events(), &eager),
+                (&log, &lazy),
+            );
+
+            let mult: Zip<f32, f32, f32> =
+                Zip::new(&ctx, "float mult(float x, float y){ return x * y; }").unwrap();
+            for (what, rhs) in [("Zip", &b), ("zip(v, v)", &a)] {
+                let eager = mult.call(&a, rhs).unwrap();
+                let lazy = mult.lazy(&a.expr(), &rhs.expr()).unwrap();
+                let lazy = lazy.eval_logged(&log).unwrap();
+                assert_same_work(
+                    &case(what),
+                    "skelcl_zip",
+                    (mult.events(), &eager),
+                    (&log, &lazy),
+                );
+            }
+
+            let blur: MapOverlapVec<f32, f32> = MapOverlapVec::new(
+                &ctx,
+                "float blur(const float* v){ return (get(v,-1) + get(v,0) + get(v,1)) / 3.0f; }",
+                1,
+                BoundaryHandling::Neutral(0.5),
+            )
+            .unwrap();
+            let edge: MapOverlapVec<f32, f32> = MapOverlapVec::new(
+                &ctx,
+                "float edge(const float* v){ return get(v,2) - get(v,-2); }",
+                2,
+                BoundaryHandling::Nearest,
+            )
+            .unwrap();
+            for (what, stencil) in [("Neutral stencil", &blur), ("Nearest stencil", &edge)] {
+                let eager = stencil.call(&a).unwrap();
+                let lazy = stencil.lazy(&a.expr()).unwrap().eval_logged(&log).unwrap();
+                assert_same_work(
+                    &case(what),
+                    "skelcl_mapoverlap_vec",
+                    (stencil.events(), &eager),
+                    (&log, &lazy),
+                );
+            }
+
+            let sum: Reduce<f32> =
+                Reduce::new(&ctx, "float sum(float x, float y){ return x + y; }").unwrap();
+            let eager = sum.call(&a).unwrap().value();
+            let eager_work = kernel_work(sum.events());
+            assert!(
+                eager_work.iter().all(|l| l.1 == "skelcl_reduce"),
+                "{}: {eager_work:?}",
+                case("Reduce")
+            );
+            let lazy = sum.call_fused(&a.expr()).unwrap().value();
+            assert_eq!(eager_work, kernel_work(sum.events()), "{}", case("Reduce"));
+            assert_eq!(eager.to_bits(), lazy.to_bits(), "{}", case("Reduce"));
+        }
+    }
 }
